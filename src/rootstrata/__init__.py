@@ -10,9 +10,9 @@ hypersurfaces) those classes specialize to.  All arithmetic is exact.
 from .combinat import catalan, kostka, riordan, stirling_first
 from .crs import (CRSClass, crs_class, crs_class_at, crs_m_closed, euler_pol,
                   euler_identity_check, leading_term, weighted_product)
-from .dpoly import D, DFrac, DPoly, interpolate
+from .dpoly import D, DPoly, interpolate
 from .errors import (DegreeMismatch, DegreeTooSmall, InconsistentSamples,
-                     InvalidPartition, NotSymmetric, OutOfRange, PoleAtD,
+                     InvalidPartition, NotSymmetric, OutOfRange,
                      PolynomialityViolation, RootStrataError, ZeroDenominator)
 from .flagcalc import (FlagClass, GrassClass, ProjClass,
                        flex_point_locus_class, incidence_class, p_push,
@@ -33,10 +33,10 @@ from .universal import (UniversalClass, hilbert_degree, pencil_locus_class,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticTable", "CRSClass", "D", "DFrac", "DPoly", "DegreeMismatch",
+    "AsymptoticTable", "CRSClass", "D", "DPoly", "DegreeMismatch",
     "DegreeTooSmall", "FlagClass", "GrassClass", "InconsistentSamples",
     "InvalidPartition", "MultiPoly", "NotSymmetric", "OutOfRange",
-    "Partition", "PluckerTable", "PoleAtD", "PolynomialityViolation",
+    "Partition", "PluckerTable", "PolynomialityViolation",
     "ProjClass", "RootStrataError", "SchurExpansion", "UniversalClass",
     "ZeroDenominator", "asymptotic_plucker", "catalan", "chern_to_schur",
     "complete_h_expand", "crs_class", "crs_class_at", "crs_m_closed",

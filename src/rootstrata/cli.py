@@ -12,14 +12,13 @@ import sys
 
 from . import docs, golden
 from .errors import (DegreeMismatch, DegreeTooSmall, InconsistentSamples,
-                     InvalidPartition, NotSymmetric, OutOfRange, PoleAtD,
+                     InvalidPartition, NotSymmetric, OutOfRange,
                      PolynomialityViolation, ZeroDenominator)
 from .partitions import Partition
 
 DOMAIN_ERRORS = (InvalidPartition, DegreeTooSmall, OutOfRange)
 INTERNAL_ERRORS = (PolynomialityViolation, DegreeMismatch, NotSymmetric,
-                   InconsistentSamples, ZeroDenominator, PoleAtD,
-                   AssertionError)
+                   InconsistentSamples, ZeroDenominator)
 
 
 def _at_value(text):

@@ -3,6 +3,8 @@
 from functools import cache
 from math import comb
 
+from .errors import PolynomialityViolation
+
 
 def kostka(shape, content):
     """Semistandard tableaux of a two-row shape with the given content.
@@ -65,5 +67,6 @@ def riordan(n):
         return 0
     num = (n - 1) * (2 * riordan(n - 1) + 3 * riordan(n - 2))
     q, r = divmod(num, n + 1)
-    assert r == 0
+    if r:
+        raise PolynomialityViolation(f"Riordan recurrence at n={n} is not integral")
     return q

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 from .dpoly import D, DPoly
 from .errors import DegreeTooSmall, InvalidPartition
-from .multipoly import MultiPoly, as_multipoly
-from .multipoly import substitute_homogeneous
+from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
 from .schur import (SchurExpansion, complete_h_expand, divided_difference,
                     schur_expand)
@@ -89,18 +88,17 @@ def _deg(c):
     return c.degree if isinstance(c, DPoly) else 0
 
 
-def weighted_product(m):
-    """Product of (i*a + (d - i)*b) for i = 0 .. m-1, with d a variable."""
+def _euler_factor(m, x=_A, y=_B, xi=0):
+    """Product of (i*x + (d - i)*y + xi) for i = 0 .. m-1, d in the scalars."""
     total = MultiPoly.scalar(1)
     for i in range(m):
-        total = total * (_A * i + _B * (D - i))
-    return total.lower_d()
+        total = total * (y * (D - i) + x * i + xi)
+    return total
 
 
-def twist(p, q):
-    """Substitute a -> (1 + q) a and b -> b + q a."""
-    p = as_multipoly(p)
-    return p.substitute({"a": _A * (1 + q), "b": _B + _A * q})
+def weighted_product(m):
+    """Product of (i*a + (d - i)*b) for i = 0 .. m-1, with d a variable."""
+    return _euler_factor(m).lower_d()
 
 
 def crs_class(lam):
@@ -118,27 +116,29 @@ def _crs_cached(parts):
 
 
 def crs_class_peeled(lam, m):
-    """One recursion level that peels a chosen part value m off lam.
-
-    The twisted smaller class keeps the single denominator (d - m)^codim;
-    clearing it demands exact divisibility, which doubles as a proof that
-    the answer is polynomial in d.
-    """
+    """One recursion level that peels a chosen part value m off lam."""
     lam = validate_stratum(as_partition(lam))
+    expansion = schur_expand(divided_difference(_peel(lam, m)))
+    return CRSClass(lam, expansion * Fraction(1, lam.multiplicity(m)))
+
+
+def _peel(lam, m, x=_A, y=_B, xi=0):
+    """Twisted class of lam minus one part m, times the m-term Euler factor.
+
+    The smaller class has d shifted to d - m and its roots sent to
+    (x*d + xi) / (d - m) and (y*(d - m) + x*m + xi) / (d - m).  The single
+    denominator (d - m)^codim must clear exactly, which doubles as a proof
+    that the answer is polynomial in d.  crs_class_peeled integrates the
+    result over the roots (a, b); the incidence classes keep it on the flag
+    roots (eta, zeta), with xi for a moving hypersurface.
+    """
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")
-    em = lam.multiplicity(m)
-    sub = lam.remove_one(m)
-    prev = crs_class(sub)
-    if sub:
-        shifted = _map_dpoly(prev.to_roots(), lambda c: c.compose(D - m))
-        twisted = substitute_homogeneous(
-            shifted, {"a": _A * D, "b": _B * (D - m) + _A * m}, D - m)
-    else:
-        twisted = MultiPoly.scalar(1)
-    prod = twisted * weighted_product(m).lift_d()
-    expansion = schur_expand(divided_difference(prod)) * Fraction(1, em)
-    return CRSClass(lam, expansion)
+    prev = crs_class(lam.remove_one(m)).to_roots()
+    shifted = _map_dpoly(prev, lambda c: c.compose(D - m))
+    twisted = substitute_homogeneous(
+        shifted, {"a": x * D + xi, "b": y * (D - m) + x * m + xi}, D - m)
+    return twisted * _euler_factor(m, x, y, xi)
 
 
 def _map_dpoly(p, f):
@@ -171,7 +171,7 @@ def crs_class_at(lam, d0):
 def crs_m_closed(m):
     """Single-part stratum class straight from one divided difference."""
     lam = validate_stratum(Partition((m,)))
-    expansion = schur_expand(divided_difference(weighted_product(m).lift_d()))
+    expansion = schur_expand(divided_difference(_euler_factor(m)))
     return CRSClass(lam, expansion)
 
 

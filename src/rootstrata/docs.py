@@ -13,7 +13,7 @@ from fractions import Fraction
 from .crs import as_partition, crs_class
 from .dpoly import DPoly
 from .flagcalc import flex_point_locus_class, incidence_class
-from .multipoly import MultiPoly
+from .partitions import validate_stratum
 from .plucker import (asymptotic_plucker, hyperflex_count, lines_on_hypersurface,
                       mflex_polynomial, plucker_table)
 from .schur import schur_to_chern
@@ -107,7 +107,7 @@ def asymptotic_document(lam):
 
 
 def flex_document(m, at=None):
-    lam = as_partition((m,))
+    validate_stratum(as_partition((m,)))
     entries = []
     for i in range((m - 1) // 2 + 1):
         entries.append(_poly_entry(("i",), (m - 1 - 2 * i,), mflex_polynomial(m, i), at))
@@ -224,17 +224,6 @@ def emit_json(doc):
 
 def parse_json(text):
     return json.loads(text)
-
-
-def _poly_str(row, names):
-    mono = "*".join(
-        n if row[n] == 1 else f"{n}^{row[n]}"
-        for n in names if row.get(n, 0))
-    if "value" in row:
-        body = row["value"]
-    else:
-        body = _coeffs_str(row["coeffs_d"])
-    return f"{body}" + (f"  *  {mono}" if mono else "")
 
 
 def _coeffs_str(coeffs):

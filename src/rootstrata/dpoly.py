@@ -1,13 +1,9 @@
-"""Exact univariate polynomials and rational functions in the degree variable d."""
+"""Exact univariate polynomials in the degree variable d."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-from .errors import InconsistentSamples, PoleAtD, ZeroDenominator
-
-Rational = Fraction
+from .errors import InconsistentSamples, PolynomialityViolation, ZeroDenominator
 
 
 def _as_fraction(x):
@@ -52,8 +48,6 @@ class DPoly:
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.coeffs == DPoly((other,)).coeffs
-        if isinstance(other, DFrac):
-            return other == self
         return NotImplemented
 
     def __hash__(self):
@@ -112,13 +106,18 @@ class DPoly:
         return result
 
     def __truediv__(self, other):
+        """Exact quotient; a nonzero remainder raises PolynomialityViolation."""
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if c == 0:
                 raise ZeroDenominator("division of a polynomial by zero")
             return self * (1 / c)
         if isinstance(other, DPoly):
-            return DFrac(self, other)
+            q, r = self.divmod(other)
+            if r:
+                raise PolynomialityViolation(
+                    f"inexact division by {other}: remainder {r}")
+            return q
         return NotImplemented
 
     def __call__(self, x):
@@ -162,22 +161,6 @@ class DPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def exact_div(self, other):
-        """Quotient when the division is known exact; ValueError otherwise."""
-        q, r = self.divmod(other)
-        if r:
-            raise ValueError(f"inexact polynomial division: remainder {r}")
-        return q
-
-    def monic(self):
-        if not self:
-            return self
-        return self * (1 / self.leading())
-
-    def is_integral(self):
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -207,170 +190,6 @@ class DPoly:
 D = DPoly((0, 1))
 ZERO = DPoly()
 ONE = DPoly((1,))
-
-
-def _int_content(cs):
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _int_primitive(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return []
-    g = _int_content(cs)
-    if cs[-1] < 0:
-        g = -g
-    return [c // g for c in cs]
-
-
-def dpoly_gcd(p, q):
-    """Monic gcd over Q via a primitive polynomial remainder sequence."""
-    if not p:
-        return q.monic()
-    if not q:
-        return p.monic()
-    den = 1
-    for c in list(p.coeffs) + list(q.coeffs):
-        den = den * c.denominator // gcd(den, c.denominator)
-    u = _int_primitive([int(c * den) for c in p.coeffs])
-    v = _int_primitive([int(c * den) for c in q.coeffs])
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        r = _pseudo_rem_clean(u, v)
-        u, v = v, _int_primitive(r)
-    return DPoly(u).monic()
-
-
-def _pseudo_rem_clean(u, v):
-    """Pseudo-remainder of integer coefficient lists, ascending order."""
-    u = [c * v[-1] ** (len(u) - len(v) + 1) for c in u]
-    for k in range(len(u) - len(v), -1, -1):
-        c, r = divmod(u[k + len(v) - 1], v[-1])
-        assert r == 0
-        if c:
-            for j, vc in enumerate(v):
-                u[k + j] -= c * vc
-    return u[:len(v) - 1]
-
-
-class DFrac:
-    """Reduced ratio of two d-polynomials with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        if isinstance(num, (int, Fraction)):
-            num = DPoly((num,))
-        if isinstance(den, (int, Fraction)):
-            den = DPoly((den,))
-        if not den:
-            raise ZeroDenominator("rational function with zero denominator")
-        if num:
-            g = dpoly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        else:
-            den = ONE
-        lead = den.leading()
-        self.num = num * (1 / lead)
-        self.den = den * (1 / lead)
-
-    def is_polynomial(self):
-        return self.den.degree == 0
-
-    def as_dpoly(self):
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial in d")
-        return self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, DFrac):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, DPoly)):
-            return self.is_polynomial() and self.num == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return DFrac(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _as_dfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_dfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_dfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_dfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDenominator("division by the zero rational function")
-        return DFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_dfrac(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return DFrac(self.den, self.num) ** (-n)
-        return DFrac(self.num ** n, self.den ** n)
-
-    def evaluate(self, x):
-        """Value at d = x; poles survive reduction, so they are genuine."""
-        bottom = self.den(x)
-        if bottom == 0:
-            raise PoleAtD(f"pole of {self} at d = {x}")
-        return self.num(x) / bottom
-
-    def __str__(self):
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"DFrac({self})"
-
-
-def _as_dfrac(x):
-    if isinstance(x, DFrac):
-        return x
-    if isinstance(x, (int, Fraction, DPoly)):
-        return DFrac(x if isinstance(x, DPoly) else DPoly((x,)))
-    return NotImplemented
 
 
 def interpolate(samples, degree_bound):

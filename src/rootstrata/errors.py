@@ -6,11 +6,7 @@ class RootStrataError(Exception):
 
 
 class ZeroDenominator(RootStrataError):
-    """A rational function was built with denominator zero."""
-
-
-class PoleAtD(RootStrataError):
-    """A rational function in d was evaluated at a root of its denominator."""
+    """A polynomial was divided by zero."""
 
 
 class InconsistentSamples(RootStrataError):
@@ -22,10 +18,12 @@ class NotSymmetric(RootStrataError):
 
 
 class PolynomialityViolation(RootStrataError):
-    """A class expected to be polynomial in d left a nonzero remainder.
+    """A division that must be exact left a nonzero remainder.
 
     Raised when clearing the shared denominator of a substituted class
-    fails; this always signals a bug, never bad user input.
+    fails, when `/` between d-polynomials is inexact, and when a count
+    that must be an integer is not; inside the library's own routes this
+    always signals a bug, never bad user input.
     """
 
 

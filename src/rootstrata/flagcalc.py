@@ -14,16 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crs import as_partition, crs_class, _map_dpoly
-from .dpoly import D, DPoly
-from .errors import InvalidPartition
+from .crs import as_partition, _peel
+# substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import SchurExpansion, divided_difference, schur_expand
 
 _ZETA = MultiPoly.variable("zeta")
 _ETA = MultiPoly.variable("eta")
-_XI = MultiPoly.variable("xi")
 
 
 class FlagClass:
@@ -44,10 +42,6 @@ class FlagClass:
         """Rewrite with the line's first Chern class sigma1 = zeta + eta."""
         sigma1 = MultiPoly.variable("sigma1")
         return self.poly.substitute({"eta": sigma1 - _ZETA})
-
-    @classmethod
-    def from_zeta_sigma(cls, poly, ambient_n=None):
-        return cls(poly.substitute({"sigma1": _ZETA + _ETA}), ambient_n)
 
     def __eq__(self, other):
         if not isinstance(other, FlagClass):
@@ -161,20 +155,7 @@ def incidence_class(lam, m):
     multiplies in.
     """
     lam = validate_stratum(as_partition(lam))
-    if m not in lam.parts:
-        raise InvalidPartition(f"{m} is not a part of {lam}")
-    sub = lam.remove_one(m)
-    prev = crs_class(sub)
-    if sub:
-        shifted = _map_dpoly(prev.to_roots(), lambda c: c.compose(D - m))
-        twisted = substitute_homogeneous(
-            shifted, {"a": _ETA * D, "b": _ZETA * (D - m) + _ETA * m}, D - m)
-    else:
-        twisted = MultiPoly.scalar(1)
-    e_factor = MultiPoly.scalar(1)
-    for i in range(m):
-        e_factor = e_factor * (_ZETA * (D - i) + _ETA * i)
-    return FlagClass(twisted * e_factor)
+    return FlagClass(_peel(lam, m, _ETA, _ZETA))
 
 
 def tangency_class_resolution(lam, n, peel=None):

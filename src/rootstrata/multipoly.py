@@ -1,15 +1,15 @@
 """Sparse multivariate polynomials over exact scalars.
 
-Scalars are Fraction, DPoly, or DFrac.  The degree variable d may appear
-either as an honest variable (with Fraction scalars) or inside DPoly/DFrac
-scalars, never both ways in one polynomial; lift_d and lower_d convert.
+Scalars are Fraction or DPoly.  The degree variable d may appear either
+as an honest variable (with Fraction scalars) or inside DPoly scalars,
+never both ways in one polynomial; lift_d and lower_d convert.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dpoly import DFrac, DPoly, ONE
+from .dpoly import DPoly
 from .errors import PolynomialityViolation
 
 VAR_ORDER = ("a", "b", "c1", "c2", "d", "zeta", "eta", "sigma1", "xi")
@@ -23,13 +23,11 @@ def _canon_scalar(c):
         return c
     if isinstance(c, DPoly):
         return c.constant_term() if c.degree <= 0 else c
-    if isinstance(c, DFrac):
-        return _canon_scalar(c.num) if c.is_polynomial() else c
     raise TypeError(f"unsupported scalar {type(c).__name__}")
 
 
 def _is_scalar(x):
-    return isinstance(x, (int, Fraction, DPoly, DFrac))
+    return isinstance(x, (int, Fraction, DPoly))
 
 
 class MultiPoly:
@@ -159,16 +157,14 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """Exact division by a scalar; see DPoly.__truediv__."""
         if not _is_scalar(other):
             return NotImplemented
         other = _canon_scalar(other)
         if isinstance(other, Fraction):
-            inv = 1 / other
-        elif isinstance(other, DPoly):
-            inv = DFrac(ONE, other)
-        else:
-            inv = DFrac(other.den, other.num)
-        return self * inv
+            return self * (1 / other)
+        return MultiPoly(self.variables, {
+            e: _as_dpoly(c) / other for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -284,8 +280,6 @@ class MultiPoly:
             big = [0] * len(merged)
             for p, v in zip(pos, e):
                 big[p] = v
-            if isinstance(c, DFrac):
-                c = c.as_dpoly()
             coeffs = c.coeffs if isinstance(c, DPoly) else (c,)
             for k, ck in enumerate(coeffs):
                 if ck:
@@ -300,11 +294,7 @@ class MultiPoly:
             return self.substitute({"d": Fraction(k)})
         out = {}
         for e, c in self.terms.items():
-            if isinstance(c, DPoly):
-                c = c(k)
-            elif isinstance(c, DFrac):
-                c = c.evaluate(k)
-            out[e] = c
+            out[e] = c(k) if isinstance(c, DPoly) else c
         return MultiPoly(self.variables, out)
 
     def two_var_terms(self, x, y):
@@ -355,9 +345,11 @@ class MultiPoly:
 
 
 def _depends_on_d_scalars(p):
-    return any(isinstance(c, (DPoly, DFrac)) and
-               (not isinstance(c, DPoly) or c.degree > 0)
-               for c in p.terms.values())
+    return any(isinstance(c, DPoly) and c.degree > 0 for c in p.terms.values())
+
+
+def _as_dpoly(c):
+    return c if isinstance(c, DPoly) else DPoly((c,))
 
 
 def as_multipoly(x):
@@ -379,30 +371,11 @@ def substitute_homogeneous(p, numerators, den):
     if missing:
         raise ValueError(f"no numerator given for {missing}")
     c = p.total_degree()
-    powers = {name: [MultiPoly.scalar(1), as_multipoly(val)]
-              for name, val in numerators.items()}
-
-    def power_of(name, n):
-        cache = powers[name]
-        while len(cache) <= n:
-            cache.append(cache[-1] * cache[1])
-        return cache[n]
-
-    total = MultiPoly.zero()
-    for e, coeff in p.terms.items():
-        piece = MultiPoly.scalar(coeff)
-        for name, exp in zip(p.variables, e):
-            if exp:
-                piece = piece * power_of(name, exp)
-        total = total + piece
+    total = p.substitute(numerators)
     shift = den ** c
     out = {}
     for e, coeff in total.terms.items():
-        if isinstance(coeff, Fraction):
-            coeff = DPoly((coeff,))
-        if isinstance(coeff, DFrac):
-            coeff = coeff.as_dpoly()
-        q, r = coeff.divmod(shift)
+        q, r = _as_dpoly(coeff).divmod(shift)
         if r:
             raise PolynomialityViolation(
                 f"{den}**{c} does not divide a substituted coefficient")

@@ -30,7 +30,11 @@ class Partition:
                 token = token.strip()
                 if "^" in token:
                     base, _, count = token.partition("^")
-                    parts.extend([int(base)] * int(count))
+                    count = int(count)
+                    if count < 1:
+                        raise InvalidPartition(
+                            f"repeat count in {token!r} must be at least 1")
+                    parts.extend([int(base)] * count)
                 elif token:
                     parts.append(int(token))
         except ValueError:

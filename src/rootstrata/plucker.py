@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .combinat import kostka, stirling_first
 from .crs import as_partition, crs_class, euler_pol
 from .dpoly import D, DPoly
-from .errors import DegreeMismatch, OutOfRange
+from .errors import DegreeMismatch, OutOfRange, PolynomialityViolation
 from .partitions import Partition, validate_stratum
 from .schur import schur_expand
 
@@ -173,7 +173,8 @@ def lines_on_hypersurface(n):
         raise OutOfRange("the count needs ambient dimension n >= 3")
     d = 2 * n - 3
     c = schur_expand(euler_pol(d)).coefficient(n - 1, n - 1)
-    assert c.denominator == 1
+    if c.denominator != 1:
+        raise PolynomialityViolation(f"line count {c} is not an integer")
     return int(c)
 
 

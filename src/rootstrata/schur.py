@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .dpoly import DPoly
 from .errors import NotSymmetric
 from .multipoly import MultiPoly, _canon_scalar, _VAR_INDEX, as_multipoly
 
@@ -90,16 +91,8 @@ class SchurExpansion:
         return SchurExpansion({kl: f(c) for kl, c in self.coeffs.items()})
 
     def evaluate_d(self, k):
-        from .dpoly import DFrac, DPoly
-
-        def ev(c):
-            if isinstance(c, DPoly):
-                return c(k)
-            if isinstance(c, DFrac):
-                return c.evaluate(k)
-            return c
-
-        return self.map_coefficients(ev)
+        return self.map_coefficients(
+            lambda c: c(k) if isinstance(c, DPoly) else c)
 
     def truncate(self, kmax):
         """Drop every s_{k,l} with k above kmax."""
@@ -144,7 +137,8 @@ def schur_expand(p, x="a", y="b"):
     while work:
         i, j = max(work, key=lambda e: (e[0] + e[1], e[0]))
         c = work.pop((i, j))
-        assert i >= j
+        if i < j:
+            raise NotSymmetric(f"leading monomial {x}^{i} {y}^{j} has i < j")
         out[(i, j)] = c
         for t in range(i - j):
             key = (j + t, i - t)

@@ -7,12 +7,9 @@ of the moduli; the shifted classes stay polynomial in d.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .crs import as_partition, crs_class, _map_dpoly
+from .crs import as_partition, crs_class, _peel
 from .dpoly import D, DPoly
-from .flagcalc import FlagClass, ProjClass, q_push
-from .errors import InvalidPartition
+from .flagcalc import FlagClass, q_push
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import schur_expand
@@ -73,22 +70,7 @@ def hilbert_degree(lam):
 def universal_incidence_class(lam, m, n):
     """Incidence class of (point, curve in a moving hypersurface) pairs."""
     lam = validate_stratum(as_partition(lam))
-    if m not in lam.parts:
-        raise InvalidPartition(f"{m} is not a part of {lam}")
-    sub = lam.remove_one(m)
-    prev = crs_class(sub)
-    if sub:
-        shifted = _map_dpoly(prev.to_roots(), lambda c: c.compose(D - m))
-        twisted = substitute_homogeneous(
-            shifted,
-            {"a": _ETA * D + _XI, "b": _ZETA * (D - m) + _ETA * m + _XI},
-            D - m)
-    else:
-        twisted = MultiPoly.scalar(1)
-    e_factor = MultiPoly.scalar(1)
-    for i in range(m):
-        e_factor = e_factor * (_ZETA * (D - i) + _ETA * i + _XI)
-    return FlagClass(twisted * e_factor, n)
+    return FlagClass(_peel(lam, m, _ETA, _ZETA, _XI), n)
 
 
 def pencil_locus_class(lam, m, n):

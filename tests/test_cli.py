@@ -147,6 +147,9 @@ def test_domain_errors(capsys):
     assert run(capsys, "flex", "4", "--at", "d=2")[0] == 3
     assert run(capsys, "hyperflex", "--n", "2")[0] == 3
     assert run(capsys, "incidence", "2,2", "--m", "3")[0] == 3
+    assert run(capsys, "class", "2^0")[0] == 3
+    assert run(capsys, "class", "2^-3")[0] == 3
+    assert run(capsys, "flex", "1")[0] == 3
 
 
 def test_json_round_trip_through_the_emitters():

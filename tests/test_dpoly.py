@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions in d."""
+"""Dense univariate polynomials in d."""
 
 from fractions import Fraction
 
@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootstrata.dpoly import D, DFrac, DPoly, dpoly_gcd, interpolate
-from rootstrata.errors import InconsistentSamples, PoleAtD, ZeroDenominator
+from rootstrata.dpoly import D, DPoly, interpolate
+from rootstrata.errors import (InconsistentSamples, PolynomialityViolation,
+                               ZeroDenominator)
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 polys = st.lists(fractions, max_size=6).map(lambda cs: DPoly(tuple(cs)))
@@ -44,9 +45,11 @@ def test_divmod_exact_division():
     p = (D - 3) * (2 * D ** 2 + 5 * D - 6)
     q, r = divmod(p, D - 3)
     assert r == 0 and q == 2 * D ** 2 + 5 * D - 6
-    assert p.exact_div(D - 3) == q
-    with pytest.raises(ValueError):
-        (D + 1).exact_div(D)
+    assert p / (D - 3) == q
+    with pytest.raises(PolynomialityViolation):
+        (D + 1) / D
+    with pytest.raises(ZeroDenominator):
+        D / DPoly(())
 
 
 @given(polys, polys, polys)
@@ -66,39 +69,6 @@ def test_evaluation_is_a_homomorphism(p, q):
     at = Fraction(7, 3)
     assert (p * q)(at) == p(at) * q(at)
     assert (p + q)(at) == p(at) + q(at)
-
-
-def test_gcd_is_monic_common_divisor():
-    p = (D - 1) * (D - 2) * (3 * D + 5)
-    q = (D - 2) * (D + 4) * 7
-    g = dpoly_gcd(p, q)
-    assert g == D - 2
-    assert dpoly_gcd(p, DPoly(())) == p.monic()
-
-
-def test_dfrac_normalizes():
-    f = DFrac(D ** 2 - 1, 2 * D - 2)
-    assert f == DFrac(D + 1, DPoly((2,)))
-    assert f.is_polynomial() and f.as_dpoly() == (D + 1) / 2
-    assert DFrac(D, D) == 1
-    with pytest.raises(ZeroDenominator):
-        DFrac(D, DPoly(()))
-
-
-def test_dfrac_arithmetic():
-    f = DFrac(DPoly((1,)), D)
-    assert f + f == DFrac(DPoly((2,)), D)
-    assert f * D == 1
-    assert (f ** -1) == D
-    assert f.evaluate(2) == Fraction(1, 2)
-    with pytest.raises(PoleAtD):
-        f.evaluate(0)
-
-
-def test_dfrac_detects_polynomials():
-    f = DFrac(D ** 2 - 1, D - 1)
-    assert f.is_polynomial()
-    assert f.as_dpoly() == D + 1
 
 
 def test_interpolate_recovers_polynomial():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootstrata.dpoly import D, DFrac, DPoly
+from rootstrata.crs import crs_class
+from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import PolynomialityViolation
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 
@@ -83,15 +84,34 @@ def test_homogeneity_predicates():
     assert (A * B ** 2).total_degree() == 3
 
 
+def _d_degree(p):
+    return max((c.degree for c in p.terms.values() if isinstance(c, DPoly)), default=0)
+
+
 def test_substitute_homogeneous_matches_rational_route():
-    """The cleared engine equals naive substitution by rational functions."""
-    p = (A ** 2 * B + 2 * A * B ** 2) * ((D - 2) ** 3)
-    num_a = A * D
-    num_b = B * (D - 2) + A * 2
-    den = D - 2
-    cleared = substitute_homogeneous(p, {"a": num_a, "b": num_b}, den)
-    naive = p.substitute({"a": num_a / den, "b": num_b / den})
-    assert cleared == naive
+    """The cleared engine equals naive substitution by rational values.
+
+    At each integer d != m the naive side substitutes num/(d - m) as exact
+    Fractions.  Times (d - m)^c it is a polynomial in d of degree at most
+    n, and so is the cleared side times (d - m)^c; agreement at more than
+    n points proves the identity.
+    """
+    smaller = crs_class((3, 2)).to_roots()  # peeling 3 off (3, 3, 2)
+    cases = [((A ** 2 * B + 2 * A * B ** 2) * ((D - 2) ** 3), 2),
+             (MultiPoly(smaller.variables,
+                        {e: c.compose(D - 3) for e, c in smaller.terms.items()}), 3)]
+    for p, m in cases:
+        nums = {"a": A * D, "b": B * (D - m) + A * m}
+        cleared = substitute_homogeneous(p, nums, D - m)
+        c = p.total_degree()
+        n = _d_degree(p) + c  # each numerator has degree 1 in d
+        assert n >= _d_degree(cleared) + c
+        points = [k for k in range(-3, n + 2) if k != m]
+        assert len(points) > n
+        for k in points:
+            naive = p.evaluate_d(k).substitute(
+                {v: num.evaluate_d(k) * Fraction(1, k - m) for v, num in nums.items()})
+            assert cleared.evaluate_d(k) == naive
 
 
 def test_substitute_homogeneous_rejects_nonpolynomial_results():
@@ -112,5 +132,6 @@ def test_division_by_dfrac_and_scalar():
     p = A * (D - 1)
     assert p / (D - 1) == A
     assert p / Fraction(1, 2) == A * (2 * D - 2)
-    f = DFrac(D - 1, D)
-    assert p / f == A * D
+    assert (p * D + B * D) / D == p + B
+    with pytest.raises(PolynomialityViolation):
+        p / D

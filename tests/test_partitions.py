@@ -19,7 +19,7 @@ def test_parse_forms():
 
 
 def test_parse_rejects_garbage():
-    for text in ("x", "2,x", "2^", "^3", "2,-1"):
+    for text in ("x", "2,x", "2^", "^3", "2,-1", "2^0", "2^-3"):
         with pytest.raises(InvalidPartition):
             Partition.parse(text)
 

@@ -1,0 +1,30 @@
+"""Source-level rules for the library package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rootstrata"
+
+
+def _absolute_imports(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_assert_and_stdlib_only_imports():
+    """Invariants raise explicitly (assert vanishes under -O); the runtime is stdlib only."""
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    problems = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                problems.append(f"{path.name}:{node.lineno}: assert statement")
+            for name in _absolute_imports(node):
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    problems.append(f"{path.name}:{node.lineno}: imports {name}")
+    assert not problems, "\n".join(problems)
