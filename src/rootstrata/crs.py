@@ -112,6 +112,11 @@ def _crs_cached(parts):
     lam = Partition(parts)
     if not lam:
         return CRSClass(lam, SchurExpansion({(0, 0): 1}))
+    # Peeling the largest part needs the class of parts[1:], which needs
+    # parts[2:], ...; fill that chain shortest first, so every peel finds its
+    # smaller class cached and the stack stays flat however many parts.
+    for k in range(len(parts) - 1, 0, -1):
+        _crs_cached(parts[k:])
     return crs_class_peeled(lam, lam.largest)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import InconsistentSamples, PolynomialityViolation, ZeroDenominator
 
 
@@ -14,84 +16,161 @@ def _as_fraction(x):
     raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
 
 
-class DPoly:
-    """Polynomial in d over Q, stored as an ascending tuple of coefficients."""
+def _scalar_parts(x):
+    """(numerator, denominator) of an int or Fraction scalar, else None."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
 
-    __slots__ = ("coeffs",)
+
+def _canonical(nums, den):
+    """DPoly for the integer numerators nums over the nonzero int den.
+
+    Strips trailing zeros, makes den positive and cancels the common factor
+    of den and every numerator, so equal polynomials get equal fields.
+    """
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _raw((), 1)
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums[:n]]
+    elif n < len(nums):
+        nums = nums[:n]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+    return _raw(tuple(nums), den)
+
+
+def _raw(nums, den):
+    """DPoly with fields that are already canonical."""
+    p = object.__new__(DPoly)
+    p._nums = nums
+    p._den = den
+    return p
+
+
+class DPoly:
+    """Polynomial in d over Q: ascending integer numerators over one denominator.
+
+    The form is canonical: no trailing zero numerator, a positive
+    denominator sharing no factor with all numerators, and zero is ((), 1).
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        canon = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+        self._nums = canon._nums
+        self._den = canon._den
 
     @classmethod
     def constant(cls, c):
         return cls((c,))
 
     @property
+    def coeffs(self):
+        """Ascending coefficients as Fractions."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
+
+    @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self._nums[-1], self._den) if self._nums else Fraction(0)
 
     def constant_term(self):
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._nums[0], self._den) if self._nums else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, DPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == DPoly((other,)).coeffs
-        return NotImplemented
+            return self._nums == other._nums and self._den == other._den
+        parts = _scalar_parts(other)
+        if parts is None:
+            return NotImplemented
+        num, den = parts
+        return self._den == den and self._nums == ((num,) if num else ())
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __neg__(self):
-        return DPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-x for x in self._nums), self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DPoly((other,))
-        if not isinstance(other, DPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        return DPoly(tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)))
+        if isinstance(other, DPoly):
+            a, da, b, db = self._nums, self._den, other._nums, other._den
+        else:
+            parts = _scalar_parts(other)
+            if parts is None:
+                return NotImplemented
+            a, da, b, db = self._nums, self._den, parts[:1], parts[1]
+        if da != db:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            a = [x * fa for x in a]
+            b = [x * fb for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return _canonical(out, da)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, DPoly)):
-            return self + (-other if isinstance(other, DPoly) else DPoly((-_as_fraction(other),)))
+        if isinstance(other, (DPoly, int, Fraction)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, DPoly):
+        if isinstance(other, DPoly):
+            a, b = self._nums, other._nums
+            if not a or not b:
+                return _raw((), 1)
+            if len(a) < len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
+            den = self._den * other._den
+            if den == 1:
+                return _raw(tuple(out), 1)
+            return _canonical(out, den)
+        parts = _scalar_parts(other)
+        if parts is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return DPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return DPoly(out)
+        return self._scaled(*parts)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num, den):
+        """self * num / den for ints num and den != 0."""
+        if not num or not self._nums:
+            return _raw((), 1)
+        return _canonical([x * num for x in self._nums], self._den * den)
 
     def __pow__(self, n):
         if n < 0:
@@ -107,11 +186,11 @@ class DPoly:
 
     def __truediv__(self, other):
         """Exact quotient; a nonzero remainder raises PolynomialityViolation."""
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
+        parts = _scalar_parts(other)
+        if parts is not None:
+            if not parts[0]:
                 raise ZeroDenominator("division of a polynomial by zero")
-            return self * (1 / c)
+            return self._scaled(parts[1], parts[0])
         if isinstance(other, DPoly):
             q, r = self.divmod(other)
             if r:
@@ -123,35 +202,74 @@ class DPoly:
     def __call__(self, x):
         """Evaluate at a rational point by Horner's rule."""
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        # homogenized Horner: sum of c_i p^i q^(n-i), over den * q^n
+        acc, qk = 0, 1
+        for c in reversed(nums):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self._den * qk // q)
 
     def compose(self, other):
         """Return self(other(d))."""
+        if (isinstance(other, DPoly) and other._den == 1
+                and len(other._nums) == 2 and other._nums[1] == 1):
+            return self._shifted(other._nums[0])
         acc = DPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * other + DPoly((c,))
-        return acc
+        for c in reversed(self._nums):
+            acc = acc * other + c
+        return acc._scaled(1, self._den)
+
+    def _shifted(self, c):
+        """self(d + c) for an int c, by the integer Taylor shift."""
+        a = list(self._nums)
+        n = len(a) - 1
+        if c:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    a[j] += c * a[j + 1]
+        # a unimodular change of variable keeps the form canonical
+        return _raw(tuple(a), self._den)
 
     def divmod(self, other):
         """Exact quotient and remainder over Q."""
         if not other:
             raise ZeroDenominator("polynomial division by zero")
+        if other._den == 1 and other._nums[-1] == 1:
+            return self._divmod_monic(other._nums)
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        divisor = other.coeffs
+        dq = len(rem) - len(divisor)
         if dq < 0:
             return DPoly(), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
+        lead = divisor[-1]
         for k in range(dq, -1, -1):
             c = rem[k + other.degree] / lead
             quot[k] = c
             if c:
-                for j, oc in enumerate(other.coeffs):
+                for j, oc in enumerate(divisor):
                     rem[k + j] -= c * oc
         return DPoly(quot), DPoly(rem)
+
+    def _divmod_monic(self, b):
+        """divmod by the monic integer polynomial with coefficients b."""
+        rem = list(self._nums)
+        nb = len(b) - 1
+        dq = len(rem) - 1 - nb
+        if dq < 0:
+            return DPoly(), self
+        quot = [0] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c = rem[k + nb]
+            quot[k] = c
+            if c:
+                for j in range(nb):
+                    rem[k + j] -= c * b[j]
+        return _canonical(quot, self._den), _canonical(rem[:nb], self._den)
 
     __divmod__ = divmod
 
@@ -162,11 +280,12 @@ class DPoly:
         return self.divmod(other)[1]
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
+        for e in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[e]
             if not c:
                 continue
             sign = "-" if c < 0 else "+"

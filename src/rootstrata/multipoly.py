@@ -50,11 +50,14 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             c = _canon_scalar(c)
-            if c == 0:
+            if not c:
                 continue
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-            if clean[exps] == 0:
-                del clean[exps]
+            if exps in clean:
+                c = clean[exps] + c
+                if not c:
+                    del clean[exps]
+                    continue
+            clean[exps] = c
         # drop variables that no surviving term uses
         used = [i for i in range(len(variables))
                 if any(e[i] for e in clean)]
@@ -121,7 +124,7 @@ class MultiPoly:
         merged, left, right = self._aligned(other)
         out = dict(left)
         for e, c in right.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return MultiPoly(merged, out)
 
     __radd__ = __add__
@@ -151,7 +154,8 @@ class MultiPoly:
         for e1, c1 in left.items():
             for e2, c2 in right.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
         return MultiPoly(merged, out)
 
     __rmul__ = __mul__

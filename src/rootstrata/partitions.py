@@ -6,6 +6,11 @@ from math import factorial
 
 from .errors import InvalidPartition
 
+# Largest weight Partition.parse accepts.  The class of 2^10 takes a
+# fraction of a second, that of 2^50 (weight 100) about 16 s on a 2-core
+# box; the bound also keeps a count like 2^400000000 from being allocated.
+MAX_WEIGHT = 100
+
 
 class Partition:
     """Weakly decreasing tuple of positive parts."""
@@ -20,23 +25,32 @@ class Partition:
 
     @classmethod
     def parse(cls, text):
-        """Read '3,2,2' or '2^3' or '4,2^2'; '' and '-' mean the empty partition."""
+        """Read '3,2,2' or '2^3' or '4,2^2'; '' and '-' mean the empty partition.
+
+        A weight above MAX_WEIGHT raises InvalidPartition before any repeat
+        count is expanded.
+        """
         text = text.strip()
         if text in ("", "-"):
             return cls()
         parts = []
+        weight = 0
         try:
             for token in text.split(","):
                 token = token.strip()
-                if "^" in token:
-                    base, _, count = token.partition("^")
-                    count = int(count)
-                    if count < 1:
-                        raise InvalidPartition(
-                            f"repeat count in {token!r} must be at least 1")
-                    parts.extend([int(base)] * count)
-                elif token:
-                    parts.append(int(token))
+                if not token:
+                    continue
+                base, caret, count = token.partition("^")
+                base, count = int(base), int(count) if caret else 1
+                if count < 1:
+                    raise InvalidPartition(
+                        f"repeat count in {token!r} must be at least 1")
+                # parts below 1 are refused by the constructor; count them as 1
+                weight += max(base, 1) * count
+                if weight > MAX_WEIGHT:
+                    raise InvalidPartition(
+                        f"partition {text!r} exceeds the maximum weight {MAX_WEIGHT}")
+                parts.extend([base] * count)
         except ValueError:
             raise InvalidPartition(f"cannot read partition {text!r}") from None
         return cls(parts)

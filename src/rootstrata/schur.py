@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .dpoly import DPoly
 from .errors import NotSymmetric
@@ -51,7 +52,8 @@ class SchurExpansion:
             c = _canon_scalar(c)
             if c != 0:
                 clean[(int(k), int(l))] = c
-        self.coeffs = clean
+        # read-only: memoized classes share their expansions with every caller
+        self.coeffs = MappingProxyType(clean)
 
     def coefficient(self, k, l):
         return self.coeffs.get((k, l), Fraction(0))

@@ -165,3 +165,28 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][0]["coeffs_d"] == ["0", "-1", "1"]
+
+
+def test_huge_repeat_count_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "class", "2^400")
+    assert code == 3 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4_in_one_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel\nfault")
+
+    monkeypatch.setattr(docs, "class_document", broken)
+    code, out, err = run(capsys, "class", "2", "--json")
+    assert code == 4 and not out
+    assert err == "internal error: RuntimeError: kernel fault\n"
+
+
+def test_selftest_passes_without_asserts():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "rootstrata.cli", "selftest", "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert len(checks) == 38 and all(c["ok"] for c in checks)

@@ -1,11 +1,13 @@
 """Stratum classes: recursion, twists, peel order, and specializations."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootstrata import crs as crs_module
 from rootstrata.crs import (crs_class, crs_class_at, crs_class_peeled,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
@@ -134,3 +136,34 @@ def test_leading_slice_equals_leading_term(lam):
 
 def test_string_forms():
     assert "s_{1,0}" in str(crs_class((2,)))
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_long_class_chain_keeps_the_stack_flat():
+    lam = (2,) * 12
+    want = crs_class_at(lam, 30)
+    crs_module._crs_cached.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        got = crs_class(lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.evaluate(30) == want
+    assert crs_module._crs_cached.cache_info().currsize == len(lam) + 1
+
+
+def test_cached_expansions_are_read_only():
+    cls = crs_class((2, 2))
+    before = dict(cls.expansion.coeffs)
+    with pytest.raises(TypeError):
+        cls.expansion.coeffs[(4, 0)] = DPoly((1,))
+    with pytest.raises(TypeError):
+        del cls.expansion.coeffs[(2, 0)]
+    assert dict(crs_class((2, 2)).expansion.coeffs) == before

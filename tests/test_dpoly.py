@@ -1,6 +1,7 @@
 """Dense univariate polynomials in d."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -94,3 +95,157 @@ def test_interpolate_round_trip(coeffs):
     bound = max(p.degree, 0)
     samples = [(k, p(k)) for k in range(bound + 2)]
     assert interpolate(samples, bound) == p
+
+
+# A plain list-of-Fractions reference for the integer-backed DPoly.
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)])
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_eval(a, x):
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, b), [c])
+    return acc
+
+
+def ref_str(a):
+    terms = []
+    for e in range(len(a) - 1, -1, -1):
+        c = a[e]
+        if c:
+            var = "" if e == 0 else "d" if e == 1 else f"d^{e}"
+            body = str(abs(c)) if not var else var if abs(c) == 1 else f"{abs(c)}*{var}"
+            terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    out = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return out + "".join(f" {s} {b}" for s, b in terms[1:])
+
+
+def canonical(p):
+    nums, den = p._nums, p._den
+    return (all(type(x) is int for x in nums) and type(den) is int and den > 0
+            and (not nums or nums[-1] != 0)
+            and gcd(den, *nums) == 1 and (nums or den == 1))
+
+
+coeff_lists = st.lists(fractions, max_size=6)
+ints = st.integers(-9, 9)
+monic = st.lists(ints, max_size=3).map(lambda cs: cs + [1])
+nonzero_lists = coeff_lists.filter(lambda cs: any(cs))
+
+
+@given(coeff_lists, coeff_lists, fractions)
+@settings(max_examples=80, deadline=None)
+def test_ring_ops_match_fraction_reference(a, b, c):
+    p, q = DPoly(a), DPoly(b)
+    fa, fb = ref_trim(a), ref_trim(b)
+    assert p.coeffs == tuple(fa)
+    cases = [(p + q, ref_add(fa, fb)),
+             (p - q, ref_add(fa, [-x for x in fb])),
+             (p * q, ref_mul(fa, fb)),
+             (p * c, ref_mul(fa, [c])),
+             (c * p, ref_mul(fa, [c])),
+             (p + c, ref_add(fa, [c])),
+             (c - p, ref_add([c], [-x for x in fa])),
+             (-p, ref_trim(-x for x in fa))]
+    if c:
+        cases.append((p / c, ref_mul(fa, [1 / c])))
+    for got, want in cases:
+        assert canonical(got)
+        assert got.coeffs == tuple(want)
+        assert got == DPoly(want) and hash(got) == hash(DPoly(want))
+        assert str(got) == ref_str(want)
+
+
+@given(coeff_lists, monic, nonzero_lists)
+@settings(max_examples=80, deadline=None)
+def test_divmod_matches_fraction_reference(a, m, n):
+    p = DPoly(a)
+    for divisor in (m, ref_trim(n)):
+        q, r = divmod(p, DPoly(divisor))
+        want_q, want_r = ref_divmod(ref_trim(a), ref_trim(divisor))
+        assert canonical(q) and canonical(r)
+        assert (q.coeffs, r.coeffs) == (tuple(want_q), tuple(want_r))
+        if want_r:
+            with pytest.raises(PolynomialityViolation):
+                p / DPoly(divisor)
+        else:
+            assert p / DPoly(divisor) == q
+
+
+@given(coeff_lists, ints, fractions, coeff_lists)
+@settings(max_examples=80, deadline=None)
+def test_compose_and_call_match_fraction_reference(a, c, x, b):
+    p = DPoly(a)
+    for inner in ([c, 1], [x, 1], b):
+        got = p.compose(DPoly(inner))
+        assert canonical(got)
+        assert got.coeffs == tuple(ref_compose(ref_trim(a), ref_trim(inner)))
+    for point in (c, x):
+        value = p(point)
+        assert type(value) is Fraction and value == ref_eval(ref_trim(a), point)
+
+
+@given(fractions, fractions)
+@settings(max_examples=60, deadline=None)
+def test_scalar_equality_and_hash(c, e):
+    p = DPoly((c,))
+    assert p == c and (p == e) == (c == e)
+    if c.denominator == 1:
+        assert p == int(c)
+    assert DPoly((c, 0, 0)) == p and hash(DPoly((c, 0, 0))) == hash(p)
+    assert (p * D == c) == (c == 0)
+
+
+def test_canonical_form():
+    assert (DPoly()._nums, DPoly()._den) == ((), 1)
+    trailing = DPoly((0, Fraction(1, 2), 0))
+    assert (trailing._nums, trailing._den) == ((0, 1), 2)
+    half = DPoly((Fraction(1, 2), Fraction(3, 2)))
+    assert (half._nums, half._den) == ((1, 3), 2)
+    assert DPoly((Fraction(1, 2),)) != Fraction(1, 3) and DPoly((Fraction(1, 2),)) != 1
+    assert ((half * 2)._nums, (half * 2)._den) == ((1, 3), 1)
+    assert half - half == 0 and ((half - half)._nums, (half - half)._den) == ((), 1)
+    six = DPoly((Fraction(2, 6), Fraction(-4, 6)))
+    assert (six._nums, six._den) == ((1, -2), 3)
+    assert DPoly((Fraction(1, 6),)) + DPoly((Fraction(1, 3),)) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        DPoly((Fraction(1, 2), 0.5))
+    with pytest.raises(ZeroDenominator):
+        half / 0
+    with pytest.raises(AttributeError):
+        half.coeffs = (1,)

@@ -135,3 +135,14 @@ def test_division_by_dfrac_and_scalar():
     assert (p * D + B * D) / D == p + B
     with pytest.raises(PolynomialityViolation):
         p / D
+
+
+def test_terms_that_cancel_drop_out():
+    p = A * (D ** 2 - D) + B * D
+    q = A * (D - D ** 2) + B * Fraction(1, 2)
+    total = p + q
+    assert total.variables == ("b",)
+    assert total.terms == {(1,): D + Fraction(1, 2)}
+    assert not (p - p).terms and (p - p).variables == ()
+    kept = MultiPoly(("a", "b"), {(1, 0): DPoly(), (0, 1): D, (0, 0): DPoly((0, 0))})
+    assert kept.variables == ("b",) and kept.terms == {(1,): D}

@@ -1,11 +1,13 @@
 """Partition parsing, reduction, and stratum enumeration."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstrata.errors import InvalidPartition
-from rootstrata.partitions import (Partition, stratum_partitions,
+from rootstrata.partitions import (MAX_WEIGHT, Partition, stratum_partitions,
                                    validate_stratum)
 
 
@@ -71,3 +73,19 @@ def test_ordering_and_equality(parts):
     assert lam == Partition(tuple(sorted(parts, reverse=True)))
     assert lam == tuple(sorted(parts, reverse=True))
     assert lam.weight == sum(parts)
+
+
+def test_parse_bounds_the_weight_before_allocating():
+    tracemalloc.start()
+    try:
+        for text in ("2^1000000", f"3,2^{10 ** 18}", f"0^{10 ** 18}", "2^400"):
+            with pytest.raises(InvalidPartition, match="maximum weight"):
+                Partition.parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert Partition.parse(f"2^{MAX_WEIGHT // 2}").weight == MAX_WEIGHT
+    for text in (f"2^{MAX_WEIGHT // 2 + 1}", str(MAX_WEIGHT + 1), f"4,2^{MAX_WEIGHT // 2 - 1}"):
+        with pytest.raises(InvalidPartition):
+            Partition.parse(text)
