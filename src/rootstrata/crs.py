@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .dpoly import D, DPoly
+from .dpoly import D
 from .errors import DegreeTooSmall, InvalidPartition
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
@@ -43,10 +43,10 @@ class CRSClass:
             if k + l != codim:
                 raise ValueError(
                     f"index ({k},{l}) off the codimension-{codim} diagonal")
-            if _deg(c) > weight:
+            if c.degree > weight:
                 raise ValueError(f"coefficient of s_{{{k},{l}}} exceeds degree {weight}")
         top = expansion.coefficient(codim, 0)
-        if _deg(top) != weight:
+        if top.degree != weight:
             raise ValueError(
                 f"top coefficient must have degree exactly {weight}, got {top}")
         self.partition = partition
@@ -64,13 +64,8 @@ class CRSClass:
     def leading_slice(self):
         """Coefficient of d^{|lambda|} in each Schur coordinate."""
         w = self.partition.weight
-
-        def top(c):
-            if isinstance(c, DPoly):
-                return c.coeffs[w] if c.degree == w else Fraction(0)
-            return c if w == 0 else Fraction(0)
-
-        return self.expansion.map_coefficients(top)
+        return self.expansion.map_coefficients(
+            lambda c: c.leading() if c.degree == w else 0)
 
     def __eq__(self, other):
         if not isinstance(other, CRSClass):
@@ -82,10 +77,6 @@ class CRSClass:
 
     def __repr__(self):
         return f"CRSClass({self})"
-
-
-def _deg(c):
-    return c.degree if isinstance(c, DPoly) else 0
 
 
 def _euler_factor(m, x=_A, y=_B, xi=0):
@@ -140,16 +131,11 @@ def _peel(lam, m, x=_A, y=_B, xi=0):
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")
     prev = crs_class(lam.remove_one(m)).to_roots()
-    shifted = _map_dpoly(prev, lambda c: c.compose(D - m))
+    shifted = MultiPoly(prev.variables,
+                        {e: c.compose(D - m) for e, c in prev.terms.items()})
     twisted = substitute_homogeneous(
         shifted, {"a": x * D + xi, "b": y * (D - m) + x * m + xi}, D - m)
     return twisted * _euler_factor(m, x, y, xi)
-
-
-def _map_dpoly(p, f):
-    return MultiPoly(p.variables, {
-        e: f(c if isinstance(c, DPoly) else DPoly((c,)))
-        for e, c in p.terms.items()})
 
 
 def crs_class_at(lam, d0):

@@ -27,15 +27,9 @@ def num_str(x):
 
 
 def dpoly_coeffs(p):
-    if isinstance(p, Fraction):
-        p = DPoly((p,))
     if not p:
         return ["0"]
     return [num_str(c) for c in p.coeffs]
-
-
-def _as_dpoly(c):
-    return c if isinstance(c, DPoly) else DPoly((c,))
 
 
 def _poly_entry(names, exps, coeff, at):
@@ -43,7 +37,7 @@ def _poly_entry(names, exps, coeff, at):
     if at is None:
         row["coeffs_d"] = dpoly_coeffs(coeff)
     else:
-        row["value"] = num_str(_as_dpoly(coeff)(at))
+        row["value"] = num_str(coeff(at))
     return row
 
 

@@ -9,10 +9,13 @@ from .errors import InconsistentSamples, PolynomialityViolation, ZeroDenominator
 
 
 def _as_fraction(x):
+    """An int, a Fraction or a constant DPoly as a Fraction; else TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, DPoly) and x.degree <= 0:
+        return x.constant_term()
     raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
 
 
@@ -75,7 +78,11 @@ class DPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls((c,))
+        """The constant polynomial c, for an int or Fraction c."""
+        parts = _scalar_parts(c)
+        if parts is None:
+            raise TypeError(f"expected an exact rational scalar, got {type(c).__name__}")
+        return _raw((parts[0],), parts[1]) if parts[0] else _raw((), 1)
 
     @property
     def coeffs(self):

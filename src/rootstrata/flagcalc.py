@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .crs import as_partition, _peel
+from .dpoly import ZERO
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import validate_stratum
@@ -98,9 +99,7 @@ class ProjClass:
 
     def coefficient(self, power):
         picked = self.poly.coefficient("zeta", power)
-        for _, c in picked.terms.items():
-            return c
-        return Fraction(0)
+        return next(iter(picked.terms.values()), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, ProjClass):
@@ -142,7 +141,7 @@ def q_push(f):
             key, c = (j + 1,), -c
         else:
             continue
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, ZERO) + c
     return ProjClass(MultiPoly(("zeta",), out), n)
 
 

@@ -1,8 +1,10 @@
-"""Sparse multivariate polynomials over exact scalars.
+"""Sparse multivariate polynomials with DPoly scalars.
 
-Scalars are Fraction or DPoly.  The degree variable d may appear either
-as an honest variable (with Fraction scalars) or inside DPoly scalars,
-never both ways in one polynomial; lift_d and lower_d convert.
+Every coefficient is a DPoly, a polynomial in the degree d over Q; an int
+or Fraction given to the constructor is wrapped as a constant DPoly on the
+way in, and * or / by one scales each DPoly.  The degree variable d may
+appear either as an honest variable (with constant scalars) or inside the
+scalars, never both ways in one polynomial; lift_d and lower_d convert.
 """
 
 from __future__ import annotations
@@ -10,24 +12,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dpoly import DPoly
-from .errors import PolynomialityViolation
+from .errors import PolynomialityViolation, ZeroDenominator
 
 VAR_ORDER = ("a", "b", "c1", "c2", "d", "zeta", "eta", "sigma1", "xi")
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_ORDER)}
 
 
-def _canon_scalar(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, DPoly):
-        return c.constant_term() if c.degree <= 0 else c
-    raise TypeError(f"unsupported scalar {type(c).__name__}")
+def _as_dpoly(c):
+    """The scalar c as a DPoly; an int or Fraction becomes a constant."""
+    return c if isinstance(c, DPoly) else DPoly.constant(c)
 
 
 def _is_scalar(x):
     return isinstance(x, (int, Fraction, DPoly))
+
+
+def _widen(p, names):
+    """Spread the exponents of p over its variables joined with names.
+
+    Returns the merged variable tuple, in VAR_ORDER, and the terms of p as
+    (exponent list, coefficient) pairs; a caller may edit each list before
+    it freezes it into a key.
+    """
+    merged = tuple(sorted(set(p.variables).union(names), key=_VAR_INDEX.__getitem__))
+    pos = [merged.index(v) for v in p.variables]
+    terms = []
+    for e, c in p.terms.items():
+        big = [0] * len(merged)
+        for i, v in zip(pos, e):
+            big[i] = v
+        terms.append((big, c))
+    return merged, terms
 
 
 class MultiPoly:
@@ -49,7 +64,7 @@ class MultiPoly:
                 raise ValueError("exponent arity does not match the variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = _canon_scalar(c)
+            c = _as_dpoly(c)
             if not c:
                 continue
             if exps in clean:
@@ -70,7 +85,7 @@ class MultiPoly:
             variables = tuple(variables[i] for i in order)
         if "d" in variables:
             for c in clean.values():
-                if not isinstance(c, Fraction):
+                if c.degree > 0:
                     raise TypeError(
                         "d cannot be a variable while scalars depend on d; lift or lower first")
         self.variables = variables
@@ -101,20 +116,10 @@ class MultiPoly:
     def _aligned(self, other):
         if self.variables == other.variables:
             return self.variables, self.terms, other.terms
-        merged = tuple(sorted(set(self.variables) | set(other.variables),
-                              key=_VAR_INDEX.__getitem__))
-
-        def remap(p):
-            pos = [merged.index(v) for v in p.variables]
-            out = {}
-            for e, c in p.terms.items():
-                big = [0] * len(merged)
-                for i, v in zip(pos, e):
-                    big[i] = v
-                out[tuple(big)] = c
-            return out
-
-        return merged, remap(self), remap(other)
+        merged, left = _widen(self, other.variables)
+        _, right = _widen(other, merged)
+        return (merged, {tuple(e): c for e, c in left},
+                {tuple(e): c for e, c in right})
 
     def __add__(self, other):
         if _is_scalar(other):
@@ -144,7 +149,6 @@ class MultiPoly:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            other = _canon_scalar(other)
             return MultiPoly(self.variables,
                              {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
@@ -164,11 +168,9 @@ class MultiPoly:
         """Exact division by a scalar; see DPoly.__truediv__."""
         if not _is_scalar(other):
             return NotImplemented
-        other = _canon_scalar(other)
-        if isinstance(other, Fraction):
-            return self * (1 / other)
-        return MultiPoly(self.variables, {
-            e: _as_dpoly(c) / other for e, c in self.terms.items()})
+        if not other:
+            raise ZeroDenominator("division of a polynomial by zero")
+        return MultiPoly(self.variables, {e: c / other for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -208,14 +210,10 @@ class MultiPoly:
         """Exchange the roles of two variables."""
         if x not in self.variables and y not in self.variables:
             return self
-        merged = tuple(sorted(set(self.variables) | {x, y}, key=_VAR_INDEX.__getitem__))
-        pos = [merged.index(v) for v in self.variables]
+        merged, terms = _widen(self, (x, y))
         ix, iy = merged.index(x), merged.index(y)
         out = {}
-        for e, c in self.terms.items():
-            big = [0] * len(merged)
-            for i, v in zip(pos, e):
-                big[i] = v
+        for big, c in terms:
             big[ix], big[iy] = big[iy], big[ix]
             out[tuple(big)] = c
         return MultiPoly(merged, out)
@@ -274,32 +272,22 @@ class MultiPoly:
 
     def lower_d(self):
         """Spread polynomial scalars back onto d as a variable."""
-        if "d" in self.variables or all(isinstance(c, Fraction) for c in self.terms.values()):
+        if "d" in self.variables or not _depends_on_d_scalars(self):
             return self
-        merged = tuple(sorted(set(self.variables) | {"d"}, key=_VAR_INDEX.__getitem__))
+        merged, terms = _widen(self, ("d",))
         i = merged.index("d")
-        pos = [merged.index(v) for v in self.variables]
         out = {}
-        for e, c in self.terms.items():
-            big = [0] * len(merged)
-            for p, v in zip(pos, e):
-                big[p] = v
-            coeffs = c.coeffs if isinstance(c, DPoly) else (c,)
-            for k, ck in enumerate(coeffs):
-                if ck:
-                    big[i] = k
-                    key = tuple(big)
-                    out[key] = out.get(key, Fraction(0)) + ck
+        for big, c in terms:
+            for k, ck in enumerate(c.coeffs):
+                big[i] = k
+                out[tuple(big)] = ck
         return MultiPoly(merged, out)
 
     def evaluate_d(self, k):
         """Specialize d to the rational number k, wherever d lives."""
         if "d" in self.variables:
             return self.substitute({"d": Fraction(k)})
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = c(k) if isinstance(c, DPoly) else c
-        return MultiPoly(self.variables, out)
+        return MultiPoly(self.variables, {e: c(k) for e, c in self.terms.items()})
 
     def two_var_terms(self, x, y):
         """Exponent map {(i, j): coeff} for a polynomial in x and y alone."""
@@ -328,7 +316,8 @@ class MultiPoly:
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.variables, e) if k)
             sign = "+"
-            if isinstance(c, Fraction):
+            if c.degree <= 0:
+                c = c.constant_term()
                 if c < 0:
                     sign, c = "-", -c
                 coef = str(c)
@@ -349,11 +338,7 @@ class MultiPoly:
 
 
 def _depends_on_d_scalars(p):
-    return any(isinstance(c, DPoly) and c.degree > 0 for c in p.terms.values())
-
-
-def _as_dpoly(c):
-    return c if isinstance(c, DPoly) else DPoly((c,))
+    return any(c.degree > 0 for c in p.terms.values())
 
 
 def as_multipoly(x):
@@ -379,7 +364,7 @@ def substitute_homogeneous(p, numerators, den):
     shift = den ** c
     out = {}
     for e, coeff in total.terms.items():
-        q, r = _as_dpoly(coeff).divmod(shift)
+        q, r = coeff.divmod(shift)
         if r:
             raise PolynomialityViolation(
                 f"{den}**{c} does not divide a substituted coefficient")

@@ -9,7 +9,7 @@ from .combinat import kostka, stirling_first
 from .crs import as_partition, crs_class, euler_pol
 from .dpoly import D, DPoly
 from .errors import DegreeMismatch, OutOfRange, PolynomialityViolation
-from .partitions import Partition, validate_stratum
+from .partitions import MAX_WEIGHT, Partition, validate_stratum
 from .schur import schur_expand
 
 
@@ -78,8 +78,7 @@ def plucker_table(lam):
     codim = lam.codim
     entries = []
     for j in range(codim // 2 + 1):
-        c = cls.coefficient(codim - j, j)
-        entries.append((codim - 2 * j, c if isinstance(c, DPoly) else DPoly((c,))))
+        entries.append((codim - 2 * j, cls.coefficient(codim - j, j)))
     return PluckerTable(lam, entries)
 
 
@@ -127,11 +126,19 @@ def asymptotic_plucker(lam):
     return AsymptoticTable(lam, entries)
 
 
+def _check_degree(d):
+    """Refuse a closed form of degree above MAX_WEIGHT, as Partition.parse does."""
+    if d > MAX_WEIGHT:
+        raise OutOfRange(f"degree {d} exceeds the maximum weight {MAX_WEIGHT}")
+
+
 def mflex_coefficient(m, i, k):
     """Coefficient of d^{m-k} in the single-part polynomial Pl_{(m); m-1-2i}.
 
-    Closed form valid for m >= 2i + 1 and i <= k <= m - 1.
+    Closed form valid for m >= 2i + 1 and i <= k <= m - 1, with m at most
+    MAX_WEIGHT.
     """
+    _check_degree(m)
     if m < 2 * i + 1 or i < 0:
         raise OutOfRange(f"need m >= 2i+1, got m={m}, i={i}")
     if not i <= k <= m - 1:
@@ -144,6 +151,7 @@ def mflex_coefficient(m, i, k):
 
 def mflex_polynomial(m, i):
     """Assemble Pl_{(m); m-1-2i} from the closed-form coefficients."""
+    _check_degree(m)
     if m < 2 * i + 1 or i < 0:
         raise OutOfRange(f"need m >= 2i+1, got m={m}, i={i}")
     coeffs = [Fraction(0)] * (m + 1)
@@ -157,6 +165,7 @@ def hyperflex_count(n):
     if n < 3:
         raise OutOfRange("hyperflexes need ambient dimension n >= 3")
     d = 2 * n - 3
+    _check_degree(d)
     total = 0
     for u in range(1, n):
         total += (-1) ** (u + n + 1) * stirling_first(d, u) * comb(d - u + 1, n - 1) * d ** u
@@ -172,7 +181,8 @@ def lines_on_hypersurface(n):
     if n < 3:
         raise OutOfRange("the count needs ambient dimension n >= 3")
     d = 2 * n - 3
-    c = schur_expand(euler_pol(d)).coefficient(n - 1, n - 1)
+    _check_degree(d)
+    c = schur_expand(euler_pol(d)).coefficient(n - 1, n - 1).constant_term()
     if c.denominator != 1:
         raise PolynomialityViolation(f"line count {c} is not an integer")
     return int(c)
@@ -183,6 +193,7 @@ def zagier_lines(n):
     if n < 3:
         raise OutOfRange("the count needs ambient dimension n >= 3")
     d = 2 * n - 3
+    _check_degree(d)
     total = 0
     for u in range(1, n):
         total += (-1) ** (u + n + 1) * stirling_first(d, u) * comb(d - u + 1, n - 1) * d ** (u + 1)

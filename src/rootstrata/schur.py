@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
-from .dpoly import DPoly
+from .dpoly import ZERO
 from .errors import NotSymmetric
-from .multipoly import MultiPoly, _canon_scalar, _VAR_INDEX, as_multipoly
+from .multipoly import MultiPoly, _as_dpoly, _widen, as_multipoly
 
 
 def divided_difference(p, x="a", y="b"):
@@ -16,15 +15,10 @@ def divided_difference(p, x="a", y="b"):
     Extra variables ride along untouched, so the same operator serves the
     root pair (a, b) and the flag pair (eta, zeta).
     """
-    p = as_multipoly(p)
-    merged = tuple(sorted(set(p.variables) | {x, y}, key=_VAR_INDEX.__getitem__))
-    pos = [merged.index(v) for v in p.variables]
+    merged, terms = _widen(as_multipoly(p), (x, y))
     ix, iy = merged.index(x), merged.index(y)
     out = {}
-    for e, c in p.terms.items():
-        big = [0] * len(merged)
-        for i, v in zip(pos, e):
-            big[i] = v
+    for big, c in terms:
         i, j = big[ix], big[iy]
         if i == j:
             continue
@@ -35,7 +29,7 @@ def divided_difference(p, x="a", y="b"):
         for t in range(j - i):
             big[ix], big[iy] = i + t, j - 1 - t
             key = tuple(big)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out[key] + c if key in out else c
     return MultiPoly(merged, out)
 
 
@@ -49,14 +43,14 @@ class SchurExpansion:
         for (k, l), c in (coeffs or {}).items():
             if not (k >= l >= 0):
                 raise ValueError(f"bad index ({k}, {l}): need k >= l >= 0")
-            c = _canon_scalar(c)
-            if c != 0:
+            c = _as_dpoly(c)
+            if c:
                 clean[(int(k), int(l))] = c
         # read-only: memoized classes share their expansions with every caller
         self.coeffs = MappingProxyType(clean)
 
     def coefficient(self, k, l):
-        return self.coeffs.get((k, l), Fraction(0))
+        return self.coeffs.get((k, l), ZERO)
 
     def items(self):
         """Pairs ((k, l), coeff), highest degree first, then k descending."""
@@ -78,7 +72,7 @@ class SchurExpansion:
     def __add__(self, other):
         out = dict(self.coeffs)
         for kl, c in other.coeffs.items():
-            out[kl] = out.get(kl, Fraction(0)) + c
+            out[kl] = out.get(kl, ZERO) + c
         return SchurExpansion(out)
 
     def __sub__(self, other):
@@ -93,8 +87,7 @@ class SchurExpansion:
         return SchurExpansion({kl: f(c) for kl, c in self.coeffs.items()})
 
     def evaluate_d(self, k):
-        return self.map_coefficients(
-            lambda c: c(k) if isinstance(c, DPoly) else c)
+        return self.map_coefficients(lambda c: c(k))
 
     def truncate(self, kmax):
         """Drop every s_{k,l} with k above kmax."""
@@ -104,8 +97,8 @@ class SchurExpansion:
         """Rewrite as a plain polynomial in the two roots."""
         total = MultiPoly.zero()
         for (k, l), c in self.coeffs.items():
-            mono = {(l + t, k - t): 1 for t in range(k - l + 1)}
-            total = total + MultiPoly((x, y), mono) * c
+            h_kl = {(l + t, k - t): c for t in range(k - l + 1)}
+            total = total + MultiPoly((x, y), h_kl)
         return total
 
     def __str__(self):
@@ -114,7 +107,7 @@ class SchurExpansion:
         bits = []
         for (k, l), c in self.items():
             base = f"s_{{{k},{l}}}" if (k, l) != (0, 0) else ""
-            coef = str(c) if isinstance(c, Fraction) else f"({c})"
+            coef = str(c) if c.degree <= 0 else f"({c})"
             if base:
                 bits.append(base if coef == "1" else f"{coef}*{base}")
             else:
@@ -144,8 +137,8 @@ def schur_expand(p, x="a", y="b"):
         out[(i, j)] = c
         for t in range(i - j):
             key = (j + t, i - t)
-            rest = work.get(key, Fraction(0)) - c
-            if rest == 0:
+            rest = work.get(key, ZERO) - c
+            if not rest:
                 work.pop(key, None)
             else:
                 work[key] = rest

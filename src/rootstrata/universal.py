@@ -62,9 +62,7 @@ def hilbert_degree(lam):
     lam = validate_stratum(as_partition(lam))
     u = universal_class(lam)
     top = u.poly.coefficient("xi", lam.codim)
-    for _, c in top.terms.items():
-        return c if isinstance(c, DPoly) else DPoly((c,))
-    return DPoly()
+    return next(iter(top.terms.values()), DPoly())
 
 
 def universal_incidence_class(lam, m, n):

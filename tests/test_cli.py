@@ -1,13 +1,19 @@
 """Command line behavior: output shapes, JSON schema, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootstrata import docs
 from rootstrata.cli import main
+from rootstrata.errors import InvalidPartition
+from rootstrata.partitions import Partition
 
 
 def run(capsys, *argv):
@@ -190,3 +196,116 @@ def test_selftest_passes_without_asserts():
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert len(checks) == 38 and all(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("argv", [
+    ("flex", "900", "--json"), ("flex", "101"), ("hyperflex", "--n", "300", "--json"),
+    ("hyperflex", "--n", "52"), ("lines", "--n", "300")])
+def test_closed_forms_refuse_degrees_above_the_weight_bound(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_forms_answer_at_the_weight_bound(capsys):
+    assert run(capsys, "hyperflex", "--n", "51")[0] == 0
+    assert run(capsys, "lines", "--n", "51")[0] == 0
+
+
+PARTITION_COMMANDS = ("class", "plucker", "asymptotic", "incidence", "flexlocus",
+                      "universal", "pencil")
+# options each subcommand accepts; -h is left out, since it exits 0 without a document
+ACCEPTS = {
+    "class": ("--at", "--basis", "--json"), "plucker": ("--at", "--json"),
+    "asymptotic": ("--json",), "flex": ("--at", "--json"),
+    "hyperflex": ("--n", "--json"), "lines": ("--n", "--json"),
+    "incidence": ("--m", "--basis", "--at", "--json"),
+    "flexlocus": ("--m", "--n", "--at", "--json"), "universal": ("--at", "--json"),
+    "pencil": ("--m", "--n", "--at", "--json"), "selftest": ("--json",),
+}
+REQUIRED = ("--m", "--n")
+BASES = {"class": ["schur", "chern", "roots", "weird"],
+         "incidence": ["zeta-eta", "zeta-sigma", "weird"]}
+
+_ints = st.one_of(st.integers(-3, 12), st.integers(-10**6, 10**6)).map(str)
+_tokens = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.builds("{}^{}".format, st.integers(-2, 6),
+              st.one_of(st.integers(-2, 3), st.integers(-10**6, 10**6))),
+    st.text(alphabet="0123456789^,-+ x", max_size=6))
+
+
+def _quick(text):
+    """Keep garbage and refused strings, but only valid partitions of weight <= 14.
+
+    Heavier valid partitions are answered too, just in seconds each.
+    """
+    try:
+        return Partition.parse(text).weight <= 14
+    except InvalidPartition:
+        return True
+
+
+_partitions = st.lists(_tokens, max_size=3).map(",".join).filter(_quick)
+_values = {
+    "--at": st.one_of(st.integers(-10**6, 10**6).map("d={}".format),
+                      st.integers(-3, 30).map("d={}".format),
+                      st.text(alphabet="d=0123456789-x", max_size=5)),
+    "--m": st.one_of(st.integers(2, 4).map(str), _ints),
+    "--n": _ints,
+    "--json": None,
+    "--bogus": None,
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its positional, mostly options it accepts, in any order."""
+    command = draw(st.sampled_from(sorted(ACCEPTS)))
+    groups = []
+    if command in PARTITION_COMMANDS:
+        groups.append([draw(_partitions)])
+    elif command == "flex":
+        groups.append([draw(_ints)])
+    flags = [f for f in ACCEPTS[command] if f in REQUIRED or draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(sorted(_values) + ["--basis"])))
+    for flag in flags:
+        if flag == "--basis":
+            values = st.sampled_from(BASES.get(command, ["schur"]))
+        else:
+            values = _values[flag]
+        groups.append([flag] if values is None else [flag, draw(values)])
+    return [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@given(argvs())
+@example(["flex", "900"])
+@example(["hyperflex", "--n", "300", "--json"])
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_exits_cleanly(argv):
+    """Any argv gets exit 0, 2 or 3: no traceback, one-line refusals, parsable JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    # hypothesis raises the recursion limit while a test runs; give main the
+    # headroom of a fresh process, so a deep recursion fails here as it would there
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 1000)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in out + err
+    if code == 3:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1, argv
+    if code == 0 and "--json" in argv:
+        json.loads(out)

@@ -15,6 +15,7 @@ from rootstrata.dpoly import D, DPoly, interpolate
 from rootstrata.errors import DegreeTooSmall, InvalidPartition
 from rootstrata.partitions import Partition, stratum_partitions
 from rootstrata.schur import SchurExpansion, schur_expand
+from rootstrata.universal import universal_class
 
 
 def as_dp(c):
@@ -167,3 +168,16 @@ def test_cached_expansions_are_read_only():
     with pytest.raises(TypeError):
         del cls.expansion.coeffs[(2, 0)]
     assert dict(crs_class((2, 2)).expansion.coeffs) == before
+
+
+def test_every_coefficient_is_a_dpoly():
+    """Constant coefficients are constant DPolys, never bare Fractions."""
+    expansions = [crs_class(lam).expansion for lam in strata(6)]
+    expansions += [crs_class_at(lam, lam.weight + 1) for lam in strata(6)]
+    expansions += [crs_class(lam).leading_slice() for lam in strata(6)]
+    expansions.append(schur_expand(euler_pol(5)))
+    coeffs = [c for e in expansions for c in e.coeffs.values()]
+    coeffs += [c for lam in strata(5) for c in universal_class(lam).poly.terms.values()]
+    coeffs.append(crs_class((2,)).coefficient(5, 5))
+    assert all(type(c) is DPoly for c in coeffs)
+    assert any(c.degree == 0 for c in coeffs) and any(c.degree > 0 for c in coeffs)

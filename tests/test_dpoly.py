@@ -249,3 +249,14 @@ def test_canonical_form():
         half / 0
     with pytest.raises(AttributeError):
         half.coeffs = (1,)
+
+
+def test_interpolate_takes_constant_dpoly_samples():
+    p = D ** 2 - D
+    samples = [(k, DPoly((p(k),))) for k in range(4)]
+    assert samples[0][1] == DPoly()
+    assert interpolate(samples, 2) == p
+    with pytest.raises(TypeError):
+        interpolate([(0, D), (1, 1)], 1)
+    with pytest.raises(TypeError):
+        interpolate([(0, 0.5), (1, 1)], 1)

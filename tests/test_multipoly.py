@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import D, DPoly
-from rootstrata.errors import PolynomialityViolation
+from rootstrata.errors import PolynomialityViolation, ZeroDenominator
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 
 A = MultiPoly.variable("a")
@@ -146,3 +146,21 @@ def test_terms_that_cancel_drop_out():
     assert not (p - p).terms and (p - p).variables == ()
     kept = MultiPoly(("a", "b"), {(1, 0): DPoly(), (0, 1): D, (0, 0): DPoly((0, 0))})
     assert kept.variables == ("b",) and kept.terms == {(1,): D}
+
+
+def test_division_by_zero_raises_zero_denominator():
+    for p in (A * D + B, MultiPoly.scalar(3), MultiPoly.zero()):
+        for zero in (0, Fraction(0), DPoly()):
+            with pytest.raises(ZeroDenominator):
+                p / zero
+
+
+def test_int_and_fraction_scalars_become_constant_dpolys():
+    p = MultiPoly(("a",), {(1,): 3}) * Fraction(1, 2) - 1
+    assert all(type(c) is DPoly for c in p.terms.values())
+    assert p.terms == {(1,): Fraction(3, 2), (0,): -1}
+    assert str(p) == "3/2*a - 1" and str(p / Fraction(-3, 2)) == "-a + 2/3"
+    assert str(p * D) == "(3/2*d)*a + (-d)"
+    lowered = (p * D).lower_d()
+    assert lowered.variables == ("a", "d") and str(lowered) == "3/2*a*d - d"
+    assert all(type(c) is DPoly for c in lowered.terms.values())

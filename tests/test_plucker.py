@@ -8,7 +8,7 @@ from rootstrata.combinat import kostka
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import OutOfRange
-from rootstrata.partitions import Partition, stratum_partitions
+from rootstrata.partitions import MAX_WEIGHT, Partition, stratum_partitions
 from rootstrata.plucker import (asymptotic_plucker, degree_table,
                                 euler_schur_relation, hyperflex_count,
                                 lines_on_hypersurface, mflex_coefficient,
@@ -152,3 +152,18 @@ def test_table_iteration_and_str():
     table = plucker_table((3,))
     assert [i for i, _ in table] == [2, 0]
     assert "Pl" in str(table)
+
+
+def test_closed_forms_refuse_degrees_above_the_weight_bound():
+    """Degrees past MAX_WEIGHT are refused before any Stirling recursion runs."""
+    refused = [lambda: mflex_coefficient(MAX_WEIGHT + 1, 0, 0),
+               lambda: mflex_polynomial(900, 0),
+               lambda: hyperflex_count(300),
+               lambda: zagier_lines(MAX_WEIGHT // 2 + 2),
+               lambda: lines_on_hypersurface(300)]
+    for call in refused:
+        with pytest.raises(OutOfRange):
+            call()
+    assert mflex_coefficient(MAX_WEIGHT, 0, 0) == 1
+    n = (MAX_WEIGHT + 3) // 2  # the largest n with 2n - 3 <= MAX_WEIGHT
+    assert zagier_lines(n) == (2 * n - 3) * hyperflex_count(n)

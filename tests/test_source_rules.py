@@ -28,3 +28,25 @@ def test_no_assert_and_stdlib_only_imports():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     problems.append(f"{path.name}:{node.lineno}: imports {name}")
     assert not problems, "\n".join(problems)
+
+
+def _tests_for_dpoly(node):
+    """Is node a call isinstance(x, ...) whose type argument names DPoly?"""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return any((isinstance(n, ast.Name) and n.id == "DPoly")
+               or (isinstance(n, ast.Attribute) and n.attr == "DPoly")
+               for n in ast.walk(node.args[1]))
+
+
+def test_only_the_scalar_modules_test_for_dpoly():
+    """Every coefficient is a DPoly; dpoly and multipoly alone decide what a scalar is."""
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("dpoly.py", "multipoly.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _tests_for_dpoly(node):
+                problems.append(f"{path.name}:{node.lineno}: isinstance(..., DPoly)")
+    assert not problems, "\n".join(problems)
