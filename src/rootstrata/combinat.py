@@ -2,6 +2,7 @@
 
 from functools import cache
 from math import comb
+from operator import index
 
 from .errors import PolynomialityViolation
 
@@ -12,13 +13,13 @@ def kostka(shape, content):
     Counted by explicit enumeration of the fillings: choose how many
     copies of each value land in the top row, keeping columns strict.
     """
-    shape = tuple(shape)
+    shape = tuple(map(index, shape))
     if len(shape) == 1:
         shape = (shape[0], 0)
     p, q = shape
     if p < q or q < 0:
         raise ValueError(f"need a two-row shape p >= q >= 0, got {shape}")
-    content = tuple(int(c) for c in content)
+    content = tuple(map(index, content))
     if any(c < 0 for c in content):
         raise ValueError("negative content")
     if sum(content) != p + q:

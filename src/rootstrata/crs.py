@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .dpoly import D
 from .errors import DegreeTooSmall, InvalidPartition
@@ -79,17 +80,20 @@ class CRSClass:
         return f"CRSClass({self})"
 
 
-def _euler_factor(m, x=_A, y=_B, xi=0):
-    """Product of (i*x + (d - i)*y + xi) for i = 0 .. m-1, d in the scalars."""
+def _euler_factor(m, x=_A, y=_B, xi=0, d=D):
+    """Product of (i*x + (d - i)*y + xi) for i = 0 .. m-1.
+
+    d is the scalar D by default; weighted_product passes a formal variable.
+    """
     total = MultiPoly.scalar(1)
     for i in range(m):
-        total = total * (y * (D - i) + x * i + xi)
+        total = total * (y * (d - i) + x * i + xi)
     return total
 
 
 def weighted_product(m):
     """Product of (i*a + (d - i)*b) for i = 0 .. m-1, with d a variable."""
-    return _euler_factor(m).lower_d()
+    return _euler_factor(m, d=MultiPoly.variable("d"))
 
 
 def crs_class(lam):
@@ -141,7 +145,7 @@ def _peel(lam, m, x=_A, y=_B, xi=0):
 def crs_class_at(lam, d0):
     """The same recursion with d frozen at the integer d0; pure, no cache."""
     lam = validate_stratum(as_partition(lam))
-    d0 = int(d0)
+    d0 = index(d0)
     if d0 < lam.weight:
         raise DegreeTooSmall(
             f"degree {d0} cannot hold a stratum of weight {lam.weight}")
@@ -168,7 +172,7 @@ def crs_m_closed(m):
 
 def euler_pol(d0):
     """Equivariant Euler class of the space of binary degree-d0 forms."""
-    d0 = int(d0)
+    d0 = index(d0)
     total = MultiPoly.scalar(1)
     for i in range(d0 + 1):
         total = total * (_A * i + _B * (d0 - i))

@@ -242,7 +242,9 @@ class DPoly:
         return _raw(tuple(a), self._den)
 
     def divmod(self, other):
-        """Exact quotient and remainder over Q."""
+        """Exact quotient and remainder over Q; an int or Fraction is a constant."""
+        if not isinstance(other, DPoly):
+            other = DPoly.constant(other)
         if not other:
             raise ZeroDenominator("polynomial division by zero")
         if other._den == 1 and other._nums[-1] == 1:
@@ -279,12 +281,6 @@ class DPoly:
         return _canonical(quot, self._den), _canonical(rem[:nb], self._den)
 
     __divmod__ = divmod
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
     def __str__(self):
         coeffs = self.coeffs

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .crs import as_partition, _peel
 from .dpoly import ZERO
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
-from .multipoly import MultiPoly, substitute_homogeneous
+from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import SchurExpansion, divided_difference, schur_expand
 
@@ -131,18 +131,14 @@ def q_push(f):
     poly = f.poly
     if "xi" in poly.variables:
         raise ValueError("slice out xi before pushing forward")
-    terms = poly.two_var_terms("eta", "zeta")
-    out = {}
-    for (i, j), c in terms.items():
+    out = []
+    for (i, j), c in poly.two_var_terms("eta", "zeta").items():
         r = i - (n - 2)
         if r == 0:
-            key = (j,)
+            out.append(((j,), c))
         elif r == 1:
-            key, c = (j + 1,), -c
-        else:
-            continue
-        out[key] = out.get(key, ZERO) + c
-    return ProjClass(MultiPoly(("zeta",), out), n)
+            out.append(((j + 1,), -c))
+    return ProjClass(_build(("zeta",), out), n)
 
 
 def incidence_class(lam, m):

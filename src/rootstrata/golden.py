@@ -87,7 +87,7 @@ def check_twist_universal():
 
 def check_divided_difference_product():
     p = (_B * D) * (_A + _B * (D - 1))
-    return expect(divided_difference(p.lift_d()), (_A + _B) * P(0, -1, 1))
+    return expect(divided_difference(p), (_A + _B) * P(0, -1, 1))
 
 
 def check_divided_difference_diagonal():

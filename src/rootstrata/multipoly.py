@@ -1,15 +1,20 @@
 """Sparse multivariate polynomials with DPoly scalars.
 
-Every coefficient is a DPoly, a polynomial in the degree d over Q; an int
-or Fraction given to the constructor is wrapped as a constant DPoly on the
-way in, and * or / by one scales each DPoly.  The degree variable d may
-appear either as an honest variable (with constant scalars) or inside the
-scalars, never both ways in one polynomial; lift_d and lower_d convert.
+Every coefficient is a DPoly, a polynomial in the degree d over Q, so d
+lives in the scalars; an int or Fraction given to the constructor is
+wrapped as a constant DPoly on the way in, and * or / by one scales each
+DPoly.  d may also be a formal variable over constant scalars, as in
+crs.weighted_product, but never both ways in one polynomial.
+
+One function, _build, puts terms in canonical form.  The constructor
+checks caller input and then calls it; every internal result goes to it
+directly as (exponent tuple, DPoly) pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, index
 
 from .dpoly import DPoly
 from .errors import PolynomialityViolation, ZeroDenominator
@@ -27,21 +32,54 @@ def _is_scalar(x):
     return isinstance(x, (int, Fraction, DPoly))
 
 
+def _ordered(names):
+    """The distinct names in VAR_ORDER; an unknown name raises ValueError."""
+    try:
+        return tuple(sorted(set(names), key=_VAR_INDEX.__getitem__))
+    except KeyError as exc:
+        raise ValueError(f"unknown variable {exc.args[0]!r}") from None
+
+
+def _build(variables, pairs):
+    """The canonical MultiPoly of (exponent tuple, DPoly) pairs.
+
+    variables are distinct names in VAR_ORDER and every tuple matches them.
+    Repeated exponents add, zero sums and unused variables drop, and d as a
+    variable next to a d-dependent scalar raises TypeError.
+    """
+    terms = {}
+    for e, c in pairs:
+        terms[e] = terms[e] + c if e in terms else c
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+    if len(used) != len(variables):
+        terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        variables = tuple(variables[i] for i in used)
+    if "d" in variables and any(c.degree > 0 for c in terms.values()):
+        raise TypeError("d cannot be a variable while scalars depend on d")
+    p = object.__new__(MultiPoly)
+    p.variables = variables
+    p.terms = terms
+    return p
+
+
 def _widen(p, names):
     """Spread the exponents of p over its variables joined with names.
 
     Returns the merged variable tuple, in VAR_ORDER, and the terms of p as
-    (exponent list, coefficient) pairs; a caller may edit each list before
-    it freezes it into a key.
+    (exponent tuple, coefficient) pairs over it.
     """
-    merged = tuple(sorted(set(p.variables).union(names), key=_VAR_INDEX.__getitem__))
+    merged = _ordered(p.variables + tuple(names))
+    if merged == p.variables:
+        return merged, p.terms.items()
     pos = [merged.index(v) for v in p.variables]
     terms = []
     for e, c in p.terms.items():
         big = [0] * len(merged)
         for i, v in zip(pos, e):
             big[i] = v
-        terms.append((big, c))
+        terms.append((tuple(big), c))
     return merged, terms
 
 
@@ -52,48 +90,25 @@ class MultiPoly:
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
-        for v in variables:
-            if v not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {v!r}")
-        if len(set(variables)) != len(variables):
+        names = _ordered(variables)
+        if len(names) != len(variables):
             raise ValueError("repeated variable name")
-        clean = {}
+        order = [variables.index(v) for v in names]
+        pairs = []
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != len(variables):
                 raise ValueError("exponent arity does not match the variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = _as_dpoly(c)
-            if not c:
-                continue
-            if exps in clean:
-                c = clean[exps] + c
-                if not c:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
-        # drop variables that no surviving term uses
-        used = [i for i in range(len(variables))
-                if any(e[i] for e in clean)]
-        if len(used) != len(variables):
-            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-            variables = tuple(variables[i] for i in used)
-        order = sorted(range(len(variables)), key=lambda i: _VAR_INDEX[variables[i]])
-        if order != list(range(len(variables))):
-            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-            variables = tuple(variables[i] for i in order)
-        if "d" in variables:
-            for c in clean.values():
-                if c.degree > 0:
-                    raise TypeError(
-                        "d cannot be a variable while scalars depend on d; lift or lower first")
-        self.variables = variables
-        self.terms = clean
+            pairs.append((tuple(exps[i] for i in order), _as_dpoly(c)))
+        p = _build(names, pairs)
+        self.variables = p.variables
+        self.terms = p.terms
 
     @classmethod
     def scalar(cls, c):
-        return cls((), {(): c})
+        return _build((), [((), _as_dpoly(c))])
 
     @classmethod
     def variable(cls, name):
@@ -113,29 +128,19 @@ class MultiPoly:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def _aligned(self, other):
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        merged, left = _widen(self, other.variables)
-        _, right = _widen(other, merged)
-        return (merged, {tuple(e): c for e, c in left},
-                {tuple(e): c for e, c in right})
-
     def __add__(self, other):
         if _is_scalar(other):
             other = MultiPoly.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        merged, left, right = self._aligned(other)
-        out = dict(left)
-        for e, c in right.items():
-            out[e] = out[e] + c if e in out else c
-        return MultiPoly(merged, out)
+        merged, left = _widen(self, other.variables)
+        _, right = _widen(other, merged)
+        return _build(merged, [*left, *right])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _build(self.variables, [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other):
         if _is_scalar(other):
@@ -149,18 +154,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return MultiPoly(self.variables,
-                             {e: c * other for e, c in self.terms.items()})
+            return _build(self.variables, [(e, c * other) for e, c in self.terms.items()])
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        merged, left, right = self._aligned(other)
-        out = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
-        return MultiPoly(merged, out)
+        merged, left = _widen(self, other.variables)
+        _, right = _widen(other, merged)
+        return _build(merged, ((tuple(map(add, e1, e2)), c1 * c2)
+                               for e1, c1 in left for e2, c2 in right))
 
     __rmul__ = __mul__
 
@@ -170,7 +170,7 @@ class MultiPoly:
             return NotImplemented
         if not other:
             raise ZeroDenominator("division of a polynomial by zero")
-        return MultiPoly(self.variables, {e: c / other for e, c in self.terms.items()})
+        return _build(self.variables, [(e, c / other) for e, c in self.terms.items()])
 
     def __pow__(self, n):
         if n < 0:
@@ -183,12 +183,6 @@ class MultiPoly:
             base = base * base
             n >>= 1
         return result
-
-    def degree_in(self, name):
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -203,8 +197,8 @@ class MultiPoly:
             return self if power == 0 else MultiPoly.zero()
         i = self.variables.index(name)
         rest = self.variables[:i] + self.variables[i + 1:]
-        picked = {e[:i] + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
-        return MultiPoly(rest, picked)
+        return _build(rest, [(e[:i] + e[i + 1:], c)
+                             for e, c in self.terms.items() if e[i] == power])
 
     def swap_vars(self, x, y):
         """Exchange the roles of two variables."""
@@ -212,11 +206,12 @@ class MultiPoly:
             return self
         merged, terms = _widen(self, (x, y))
         ix, iy = merged.index(x), merged.index(y)
-        out = {}
-        for big, c in terms:
+        out = []
+        for e, c in terms:
+            big = list(e)
             big[ix], big[iy] = big[iy], big[ix]
-            out[tuple(big)] = c
-        return MultiPoly(merged, out)
+            out.append((tuple(big), c))
+        return _build(merged, out)
 
     def is_symmetric(self, x="a", y="b"):
         return self == self.swap_vars(x, y)
@@ -227,67 +222,43 @@ class MultiPoly:
         for name, val in bindings.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
-            values[name] = val if isinstance(val, MultiPoly) else MultiPoly.scalar(val)
-        target = self
-        if any(_depends_on_d_scalars(v) for v in values.values()):
-            if "d" in values:
-                raise ValueError("cannot bind d while other bindings depend on d")
-            target = target.lift_d()
-            values = {n: v.lift_d() for n, v in values.items()}
-        elif _depends_on_d_scalars(target):
-            values = {n: v.lift_d() for n, v in values.items()}
-        powers = {name: [MultiPoly.scalar(1), val] for name, val in values.items()}
+            values[name] = as_multipoly(val)
+        kept = tuple(v for v in self.variables if v not in values)
+        merged = _ordered(kept + tuple(v for val in values.values() for v in val.variables))
+        at = [merged.index(v) if v in kept else None for v in self.variables]
+        powers = {name: [val] for name, val in values.items()}
 
         def power_of(name, n):
             cache = powers[name]
-            while len(cache) <= n:
-                cache.append(cache[-1] * cache[1])
-            return cache[n]
+            while len(cache) < n:
+                cache.append(cache[-1] * cache[0])
+            return cache[n - 1]
 
-        total = MultiPoly.zero()
-        for e, c in target.terms.items():
-            piece = MultiPoly.scalar(c)
-            for name, exp in zip(target.variables, e):
+        out = []
+        for e, c in self.terms.items():
+            mono = [0] * len(merged)
+            piece = None
+            for name, i, exp in zip(self.variables, at, e):
                 if not exp:
                     continue
-                if name in values:
-                    piece = piece * power_of(name, exp)
+                if i is not None:
+                    mono[i] = exp
                 else:
-                    piece = piece * MultiPoly((name,), {(exp,): 1})
-            total = total + piece
-        return total
-
-    def lift_d(self):
-        """Move the variable d into DPoly scalars."""
-        if "d" not in self.variables:
-            return self
-        i = self.variables.index("d")
-        rest = self.variables[:i] + self.variables[i + 1:]
-        out = {}
-        for e, c in self.terms.items():
-            key = e[:i] + e[i + 1:]
-            add = DPoly((0,) * e[i] + (c,))
-            out[key] = out.get(key, DPoly()) + add
-        return MultiPoly(rest, out)
-
-    def lower_d(self):
-        """Spread polynomial scalars back onto d as a variable."""
-        if "d" in self.variables or not _depends_on_d_scalars(self):
-            return self
-        merged, terms = _widen(self, ("d",))
-        i = merged.index("d")
-        out = {}
-        for big, c in terms:
-            for k, ck in enumerate(c.coeffs):
-                big[i] = k
-                out[tuple(big)] = ck
-        return MultiPoly(merged, out)
+                    pw = power_of(name, exp)
+                    piece = pw if piece is None else piece * pw
+            if piece is None:
+                out.append((tuple(mono), c))
+                continue
+            for pe, pc in _widen(piece, merged)[1]:
+                out.append((tuple(map(add, mono, pe)), pc * c))
+        return _build(merged, out)
 
     def evaluate_d(self, k):
         """Specialize d to the rational number k, wherever d lives."""
         if "d" in self.variables:
             return self.substitute({"d": Fraction(k)})
-        return MultiPoly(self.variables, {e: c(k) for e, c in self.terms.items()})
+        return _build(self.variables,
+                      [(e, DPoly.constant(c(k))) for e, c in self.terms.items()])
 
     def two_var_terms(self, x, y):
         """Exponent map {(i, j): coeff} for a polynomial in x and y alone."""
@@ -337,10 +308,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _depends_on_d_scalars(p):
-    return any(c.degree > 0 for c in p.terms.values())
-
-
 def as_multipoly(x):
     return x if isinstance(x, MultiPoly) else MultiPoly.scalar(x)
 
@@ -362,11 +329,11 @@ def substitute_homogeneous(p, numerators, den):
     c = p.total_degree()
     total = p.substitute(numerators)
     shift = den ** c
-    out = {}
+    out = []
     for e, coeff in total.terms.items():
         q, r = coeff.divmod(shift)
         if r:
             raise PolynomialityViolation(
                 f"{den}**{c} does not divide a substituted coefficient")
-        out[e] = q
-    return MultiPoly(total.variables, out)
+        out.append((e, q))
+    return _build(total.variables, out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import factorial
+from operator import index
 
 from .errors import InvalidPartition
 
@@ -18,7 +19,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = sorted(map(index, parts), reverse=True)
         if ps and ps[-1] < 1:
             raise InvalidPartition(f"parts must be positive, got {ps}")
         self.parts = tuple(ps)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from operator import index
 from types import MappingProxyType
 
 from .dpoly import ZERO
 from .errors import NotSymmetric
-from .multipoly import MultiPoly, _as_dpoly, _widen, as_multipoly
+from .multipoly import MultiPoly, _as_dpoly, _build, _ordered, _widen, as_multipoly
 
 
 def divided_difference(p, x="a", y="b"):
@@ -17,20 +18,18 @@ def divided_difference(p, x="a", y="b"):
     """
     merged, terms = _widen(as_multipoly(p), (x, y))
     ix, iy = merged.index(x), merged.index(y)
-    out = {}
-    for big, c in terms:
-        i, j = big[ix], big[iy]
+    out = []
+    for e, c in terms:
+        i, j = e[ix], e[iy]
         if i == j:
             continue
-        neg = i > j
-        if neg:
-            i, j = j, i
-            c = -c
+        if i > j:
+            i, j, c = j, i, -c
+        big = list(e)
         for t in range(j - i):
             big[ix], big[iy] = i + t, j - 1 - t
-            key = tuple(big)
-            out[key] = out[key] + c if key in out else c
-    return MultiPoly(merged, out)
+            out.append((tuple(big), c))
+    return _build(merged, out)
 
 
 class SchurExpansion:
@@ -41,11 +40,12 @@ class SchurExpansion:
     def __init__(self, coeffs=None):
         clean = {}
         for (k, l), c in (coeffs or {}).items():
+            k, l = index(k), index(l)
             if not (k >= l >= 0):
                 raise ValueError(f"bad index ({k}, {l}): need k >= l >= 0")
             c = _as_dpoly(c)
             if c:
-                clean[(int(k), int(l))] = c
+                clean[(k, l)] = c
         # read-only: memoized classes share their expansions with every caller
         self.coeffs = MappingProxyType(clean)
 
@@ -95,11 +95,12 @@ class SchurExpansion:
 
     def to_roots(self, x="a", y="b"):
         """Rewrite as a plain polynomial in the two roots."""
-        total = MultiPoly.zero()
-        for (k, l), c in self.coeffs.items():
-            h_kl = {(l + t, k - t): c for t in range(k - l + 1)}
-            total = total + MultiPoly((x, y), h_kl)
-        return total
+        names = _ordered((x, y))
+        if len(names) != 2:
+            raise ValueError("repeated variable name")
+        # each h_{k,l} is symmetric, so the order of x and y does not matter
+        return _build(names, [((l + t, k - t), c) for (k, l), c in self.coeffs.items()
+                              for t in range(k - l + 1)])
 
     def __str__(self):
         if not self.coeffs:
@@ -168,18 +169,18 @@ def _h_chern(r):
 
 def schur_to_chern(e):
     """Rewrite a Schur combination in the symmetric generators c1, c2."""
-    c2 = MultiPoly.variable("c2")
-    total = MultiPoly.zero()
+    out = []
     for (k, l), c in e.coeffs.items():
-        total = total + (c2 ** l) * _h_chern(k - l) * c
-    return total
+        _, h = _widen(_h_chern(k - l), ("c1", "c2"))
+        out.extend(((i, j + l), hc * c) for (i, j), hc in h)
+    return _build(("c1", "c2"), out)
 
 
 def chern_to_schur(p):
     """Inverse of schur_to_chern: substitute the roots and expand."""
     a = MultiPoly.variable("a")
     b = MultiPoly.variable("b")
-    return schur_expand(p.substitute({"c1": a + b, "c2": a * b}).lift_d())
+    return schur_expand(p.substitute({"c1": a + b, "c2": a * b}))
 
 
 def complete_h_expand(nu):

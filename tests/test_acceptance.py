@@ -44,10 +44,6 @@ def strata(max_weight):
     return out
 
 
-def as_dp(c):
-    return c if isinstance(c, DPoly) else DPoly((c,))
-
-
 def test_criterion_01_golden_classes(capsys):
     ok = crs_class((2,)).expansion == SchurExpansion(
         {(1, 0): D * (D - 1)})
@@ -103,8 +99,7 @@ def test_criterion_05_triple_route_equivalence(capsys):
         per_d = {d0: crs_class_at(lam, d0) for d0 in points}
         for kl in symbolic.indices():
             samples = [(d0, per_d[d0].coefficient(*kl)) for d0 in points]
-            if interpolate(samples, lam.weight) != as_dp(
-                    symbolic.coefficient(*kl)):
+            if interpolate(samples, lam.weight) != symbolic.coefficient(*kl):
                 ok = False
         # classical resolution route with just-large-enough ambient space
         resolved = tangency_class_resolution(lam, lam.codim + 2).expansion

@@ -8,18 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
+from rootstrata.combinat import kostka
 from rootstrata.crs import (crs_class, crs_class_at, crs_class_peeled,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
 from rootstrata.dpoly import D, DPoly, interpolate
 from rootstrata.errors import DegreeTooSmall, InvalidPartition
+from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition, stratum_partitions
 from rootstrata.schur import SchurExpansion, schur_expand
 from rootstrata.universal import universal_class
-
-
-def as_dp(c):
-    return c if isinstance(c, DPoly) else DPoly((c,))
 
 
 def strata(max_weight):
@@ -53,7 +51,7 @@ def test_codim_and_degree_shape():
         codim = lam.codim
         for (k, l), c in cls.expansion.items():
             assert k + l == codim
-            assert as_dp(c).degree <= lam.weight
+            assert c.degree <= lam.weight
 
 
 def test_single_part_closed_form_matches_recursion():
@@ -105,7 +103,7 @@ def test_classes_take_integer_values_at_integers():
         cls = crs_class(lam)
         for (k, l), c in cls.expansion.items():
             for d0 in range(-lam.weight, 2 * lam.weight + 2):
-                assert as_dp(c)(d0).denominator == 1, (lam, (k, l), d0)
+                assert c(d0).denominator == 1, (lam, (k, l), d0)
 
 
 def test_euler_identity():
@@ -181,3 +179,22 @@ def test_every_coefficient_is_a_dpoly():
     coeffs.append(crs_class((2,)).coefficient(5, 5))
     assert all(type(c) is DPoly for c in coeffs)
     assert any(c.degree == 0 for c in coeffs) and any(c.degree > 0 for c in coeffs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Partition((3, 2.9)),
+    lambda: crs_class((2.9,)),
+    lambda: crs_class_at((2,), 2.7),
+    lambda: crs_class_at((2,), "3"),
+    lambda: euler_pol(3.5),
+    lambda: MultiPoly(("a",), {("2",): 1}),
+    lambda: MultiPoly(("a",), {(2.0,): 1}),
+    lambda: SchurExpansion({(1.5, 0): 1}),
+    lambda: kostka((2, 2), (1, 1, 1, 1.0)),
+    lambda: kostka((2.0, 2), (1, 1, 1, 1)),
+], ids=["partition", "crs_class", "crs_class_at", "crs_class_at-str", "euler_pol",
+        "exponent-str", "exponent-float", "schur-index", "kostka-content", "kostka-shape"])
+def test_non_integral_inputs_raise_type_error(call):
+    """Floats and strings are refused, never truncated to the integer below."""
+    with pytest.raises(TypeError):
+        call()

@@ -53,6 +53,22 @@ def test_divmod_exact_division():
         D / DPoly(())
 
 
+def test_divmod_by_a_scalar_divisor():
+    p = 3 * D ** 2 + D - 4
+    assert divmod(p, 2) == (p / 2, 0)
+    assert p.divmod(Fraction(2, 3)) == (p * Fraction(3, 2), 0)
+    assert divmod(p, -1) == (-p, 0)
+    with pytest.raises(ZeroDenominator):
+        divmod(p, 0)
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            divmod(p, bad)
+    with pytest.raises(TypeError):
+        p // 2
+    with pytest.raises(TypeError):
+        p % 2
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(p, q, r):

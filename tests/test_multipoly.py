@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootstrata.crs import crs_class
+from rootstrata.crs import crs_class, weighted_product
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import PolynomialityViolation, ZeroDenominator
-from rootstrata.multipoly import MultiPoly, substitute_homogeneous
+from rootstrata.multipoly import VAR_ORDER, MultiPoly, substitute_homogeneous
+from rootstrata.schur import SchurExpansion, divided_difference
 
 A = MultiPoly.variable("a")
 B = MultiPoly.variable("b")
@@ -35,9 +36,6 @@ def test_variables_sorted_and_pruned():
 def test_d_in_scalars_and_as_variable_are_kept_apart():
     p = A * (D ** 2 - D)
     assert p.variables == ("a",)
-    lowered = p.lower_d()
-    assert lowered.variables == ("a", "d")
-    assert lowered.lift_d() == p
     with pytest.raises(TypeError):
         MultiPoly(("a", "d"), {(1, 1): D})
 
@@ -161,6 +159,58 @@ def test_int_and_fraction_scalars_become_constant_dpolys():
     assert p.terms == {(1,): Fraction(3, 2), (0,): -1}
     assert str(p) == "3/2*a - 1" and str(p / Fraction(-3, 2)) == "-a + 2/3"
     assert str(p * D) == "(3/2*d)*a + (-d)"
-    lowered = (p * D).lower_d()
+    lowered = p * MultiPoly.variable("d")
     assert lowered.variables == ("a", "d") and str(lowered) == "3/2*a*d - d"
     assert all(type(c) is DPoly for c in lowered.terms.values())
+
+
+small_dpolys = st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: DPoly(tuple(cs)))
+
+
+@st.composite
+def d_polys(draw):
+    """Small polynomials in some of a, b, xi with DPoly scalars, zeros included."""
+    names = draw(st.lists(st.sampled_from(("xi", "b", "a")), max_size=3, unique=True))
+    monos = st.tuples(*[st.integers(0, 2)] * len(names))
+    return MultiPoly(names, draw(st.dictionaries(monos, small_dpolys, max_size=5)))
+
+
+def assert_canonical(r):
+    rebuilt = MultiPoly(r.variables, dict(r.terms))
+    assert (rebuilt.variables, rebuilt.terms) == (r.variables, r.terms)
+    assert list(r.variables) == sorted(r.variables, key=VAR_ORDER.index)
+    assert all(type(c) is DPoly and c for c in r.terms.values())
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+
+
+@given(d_polys(), d_polys(), small_dpolys, st.integers(0, 2),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), small_dpolys,
+                       max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_every_result_is_canonical(p, q, c, k, schur):
+    """Each producer hands back the form the public constructor would build."""
+    results = [p + q, p - q, p - p, q + p - q, -p, p * q, p * (q - q), p * 3,
+               p * c, p * Fraction(-1, 2), p / Fraction(2, 3), p * (D - 1) / (D - 1),
+               p.coefficient("a", k), p.coefficient("xi", 0), p.swap_vars("a", "b"),
+               p.swap_vars("b", "xi"), p.substitute({"a": q}), p.substitute({"b": A, "a": B}),
+               p.substitute({"xi": 0}), p.substitute({"a": A - B, "b": B - A}),
+               divided_difference(p), divided_difference(p * p.swap_vars("a", "b")),
+               SchurExpansion({(i + j, i): v for (i, j), v in schur.items()}).to_roots()]
+    if c:
+        results.append(p * c / c)
+    for r in results:
+        assert_canonical(r)
+
+
+def test_the_two_forms_of_d_do_not_mix():
+    """d is either a formal variable over constant scalars or lives in the scalars."""
+    wp = weighted_product(2)
+    assert wp.variables == ("a", "b", "d")
+    with pytest.raises(TypeError):
+        wp * D
+    with pytest.raises(TypeError):
+        wp + A * D
+    with pytest.raises(TypeError):
+        wp.substitute({"a": A * D})
+    with pytest.raises(TypeError):
+        (A * D).substitute({"a": MultiPoly.variable("d")})

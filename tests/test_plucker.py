@@ -23,10 +23,6 @@ def strata(max_weight):
     return out
 
 
-def as_dp(c):
-    return c if isinstance(c, DPoly) else DPoly((c,))
-
-
 def test_tables_match_class_coefficients():
     for lam in strata(8):
         cls = crs_class(lam)
@@ -34,7 +30,7 @@ def test_tables_match_class_coefficients():
         codim = lam.codim
         for j in range(codim // 2 + 1):
             i = codim - 2 * j
-            assert table.polynomial(i) == as_dp(cls.coefficient(codim - j, j))
+            assert table.polynomial(i) == cls.coefficient(codim - j, j)
 
 
 def test_golden_factored_forms():
