@@ -5,16 +5,23 @@ multiplicities lambda_1, lambda_2, ...  Its closure carries a class in
 the Schur basis s_{k,l} of the symmetric functions of the two Chern
 roots, with coefficients that are polynomials in d; crs_class computes
 it by peeling one largest part per level.
+
+crs_class_peeled runs each level on dense integer rows: the roots form
+of the smaller class, its binomial twist, the product with the m linear
+Euler factors, and a readout of the Schur coefficients.  _peel does the
+same step on MultiPoly terms for the incidence and universal classes,
+whose roots (eta, zeta, xi) the rows do not carry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import index
 
-from .dpoly import D
-from .errors import DegreeTooSmall, InvalidPartition
+from .dpoly import D, _canonical, common_numerators, divmod_monic, taylor_shift
+from .errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
 from .schur import (SchurExpansion, complete_h_expand, divided_difference,
@@ -116,10 +123,91 @@ def _crs_cached(parts):
 
 
 def crs_class_peeled(lam, m):
-    """One recursion level that peels a chosen part value m off lam."""
+    """One recursion level that peels a chosen part value m off lam.
+
+    The level runs on rows: row[i] is the coefficient of a^i b^(n - i) as a
+    list of integer numerators, every list of one length and over one shared
+    denominator.  CRSClass bounds each coefficient's degree by the weight,
+    so the lengths are fixed in advance; only the readout makes DPolys.
+    """
     lam = validate_stratum(as_partition(lam))
-    expansion = schur_expand(divided_difference(_peel(lam, m)))
-    return CRSClass(lam, expansion * Fraction(1, lam.multiplicity(m)))
+    if m not in lam.parts:
+        raise InvalidPartition(f"{m} is not a part of {lam}")
+    row, den = _roots_row(crs_class(lam.remove_one(m)), m)
+    row = _euler_row(_twist_row(row, m), m)
+    return CRSClass(lam, _schur_readout(row, den * lam.multiplicity(m)))
+
+
+def _roots_row(cls, m):
+    """The class on the roots a, b with d shifted to d - m, as (row, den).
+
+    The coefficient of a^i b^(n - i) sums c_{k,l} over l <= i <= k, which
+    is the running sum of c_{n-l,l} up to l = min(i, n - i).  Each list
+    has weight + 1 entries.
+    """
+    n, width = cls.partition.codim, cls.partition.weight + 1
+    lists, den = common_numerators(
+        [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
+    half, acc = [], [0] * width
+    for nums in lists:
+        acc = [x + y for x, y in zip(acc, nums + [0] * (width - len(nums)))]
+        half.append(taylor_shift(acc, -m))
+    return [half[min(i, n - i)] for i in range(n + 1)], den
+
+
+def _twist_row(row, m):
+    """Send a to a*d / (d - m) and b to (b*(d - m) + a*m) / (d - m).
+
+    The coefficient of a^i b^(n - i) is the sum over j <= i of
+    C(n - j, i - j) m^(i - j) d^j row[j], over (d - m)^i.  One long division
+    by (d - m)^i must leave no remainder, or the class would not be
+    polynomial in d; the quotient keeps the width of the row.
+    """
+    n, width = len(row) - 1, len(row[0])
+    out, divisor = [], [1]
+    for i in range(n + 1):
+        acc = [0] * (width + i)
+        for j in range(i + 1):
+            scale = comb(n - j, i - j) * m ** (i - j)
+            acc[j:j + width] = [x + scale * y for x, y in zip(acc[j:j + width], row[j])]
+        quot, rem = divmod_monic(acc, divisor)
+        if any(rem):
+            raise PolynomialityViolation(
+                f"(d - {m})**{i} does not divide the twisted coefficient "
+                f"of a^{i} b^{n - i}")
+        out.append(quot)
+        divisor = [y - m * x for x, y in zip(divisor + [0], [0] + divisor)]
+    return out
+
+
+def _euler_row(row, m):
+    """Multiply by (i*a + (d - i)*b) for i = 0 .. m-1, one factor at a time.
+
+    Each list gains m entries up front; each factor raises the degree by at
+    most one, so the top entry is zero whenever d multiplies it.
+    """
+    row = [nums + [0] * m for nums in row]
+    zero = [0] * len(row[0])
+    for i in range(m):
+        out, prev = [], zero
+        for cur in row + [zero]:
+            out.append([i * (p - c) + s for p, c, s in zip(prev, cur, [0] + cur)])
+            prev = cur
+        row = out
+    return row
+
+
+def _schur_readout(row, den):
+    """Schur expansion of the divided difference of the row, over den.
+
+    Readout identity: for P = sum of P[i] a^i b^(N - i), the coefficient
+    of s_{k,l} in schur_expand(divided_difference(P)) is P[l] - P[k + 1],
+    for k + l = N - 1 and k >= l.
+    """
+    top = len(row) - 1
+    return SchurExpansion({
+        (top - 1 - l, l): _canonical([x - y for x, y in zip(row[l], row[top - l])], den)
+        for l in range((top + 1) // 2)})
 
 
 def _peel(lam, m, x=_A, y=_B, xi=0):
@@ -128,9 +216,10 @@ def _peel(lam, m, x=_A, y=_B, xi=0):
     The smaller class has d shifted to d - m and its roots sent to
     (x*d + xi) / (d - m) and (y*(d - m) + x*m + xi) / (d - m).  The single
     denominator (d - m)^codim must clear exactly, which doubles as a proof
-    that the answer is polynomial in d.  crs_class_peeled integrates the
-    result over the roots (a, b); the incidence classes keep it on the flag
-    roots (eta, zeta), with xi for a moving hypersurface.
+    that the answer is polynomial in d.  The incidence classes keep the
+    result on the flag roots (eta, zeta), with xi for a moving hypersurface;
+    on the roots (a, b) its divided difference is what crs_class_peeled
+    computes on rows.
     """
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")

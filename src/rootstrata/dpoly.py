@@ -52,6 +52,44 @@ def _canonical(nums, den):
     return _raw(tuple(nums), den)
 
 
+def taylor_shift(nums, c):
+    """Integer numerators of p(d + c), for p given by nums and an int c."""
+    a = list(nums)
+    n = len(a) - 1
+    if c:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+    return a
+
+
+def divmod_monic(nums, b):
+    """Integer quotient and remainder lists of nums by the monic list b.
+
+    nums must be at least as long as b; the remainder has len(b) - 1 entries.
+    """
+    rem = list(nums)
+    nb = len(b) - 1
+    dq = len(rem) - 1 - nb
+    quot = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + nb]
+        quot[k] = c
+        if c:
+            for j in range(nb):
+                rem[k + j] -= c * b[j]
+    return quot, rem[:nb]
+
+
+def common_numerators(polys):
+    """Integer numerator lists of polys over their least common denominator.
+
+    Returns (lists, den), so that polys[i] is lists[i] / den.
+    """
+    den = lcm(*(p._den for p in polys))
+    return [[x * (den // p._den) for x in p._nums] for p in polys], den
+
+
 def _raw(nums, den):
     """DPoly with fields that are already canonical."""
     p = object.__new__(DPoly)
@@ -232,14 +270,8 @@ class DPoly:
 
     def _shifted(self, c):
         """self(d + c) for an int c, by the integer Taylor shift."""
-        a = list(self._nums)
-        n = len(a) - 1
-        if c:
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    a[j] += c * a[j + 1]
         # a unimodular change of variable keeps the form canonical
-        return _raw(tuple(a), self._den)
+        return _raw(tuple(taylor_shift(self._nums, c)), self._den)
 
     def divmod(self, other):
         """Exact quotient and remainder over Q; an int or Fraction is a constant."""
@@ -266,19 +298,10 @@ class DPoly:
 
     def _divmod_monic(self, b):
         """divmod by the monic integer polynomial with coefficients b."""
-        rem = list(self._nums)
-        nb = len(b) - 1
-        dq = len(rem) - 1 - nb
-        if dq < 0:
+        if len(self._nums) < len(b):
             return DPoly(), self
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + nb]
-            quot[k] = c
-            if c:
-                for j in range(nb):
-                    rem[k + j] -= c * b[j]
-        return _canonical(quot, self._den), _canonical(rem[:nb], self._den)
+        quot, rem = divmod_monic(self._nums, b)
+        return _canonical(quot, self._den), _canonical(rem, self._den)
 
     __divmod__ = divmod
 

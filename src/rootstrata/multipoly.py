@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, index
 
-from .dpoly import DPoly
+from .dpoly import DPoly, _as_fraction
 from .errors import PolynomialityViolation, ZeroDenominator
 
 VAR_ORDER = ("a", "b", "c1", "c2", "d", "zeta", "eta", "sigma1", "xi")
@@ -256,7 +256,7 @@ class MultiPoly:
     def evaluate_d(self, k):
         """Specialize d to the rational number k, wherever d lives."""
         if "d" in self.variables:
-            return self.substitute({"d": Fraction(k)})
+            return self.substitute({"d": _as_fraction(k)})
         return _build(self.variables,
                       [(e, DPoly.constant(c(k))) for e, c in self.terms.items()])
 

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (crs_class, crs_class_at, crs_class_peeled,
-                            crs_m_closed, euler_identity_check, euler_pol,
-                            leading_term, weighted_product)
+from rootstrata.crs import (CRSClass, _peel, _schur_readout, crs_class,
+                            crs_class_at, crs_class_peeled, crs_m_closed,
+                            euler_identity_check, euler_pol, leading_term,
+                            weighted_product)
 from rootstrata.dpoly import D, DPoly, interpolate
-from rootstrata.errors import DegreeTooSmall, InvalidPartition
+from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition, stratum_partitions
-from rootstrata.schur import SchurExpansion, schur_expand
+from rootstrata.schur import SchurExpansion, divided_difference, schur_expand
 from rootstrata.universal import universal_class
 
 
@@ -198,3 +199,38 @@ def test_non_integral_inputs_raise_type_error(call):
     """Floats and strings are refused, never truncated to the integer below."""
     with pytest.raises(TypeError):
         call()
+
+
+def test_row_kernel_matches_the_multipoly_peel():
+    """The integer-row level equals the divided difference of the MultiPoly peel."""
+    for lam in strata(12):
+        for m in set(lam.parts):
+            oracle = schur_expand(divided_difference(_peel(lam, m)))
+            want = oracle * Fraction(1, lam.multiplicity(m))
+            assert crs_class_peeled(lam, m).expansion == want, (lam, m)
+
+
+@given(st.integers(0, 9), st.integers(1, 4), st.integers(1, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_schur_readout_identity(top, width, den, data):
+    """P[l] - P[k + 1] is the s_{k,l} coefficient of the divided difference of P."""
+    entry = st.lists(st.integers(-50, 50), min_size=width, max_size=width)
+    row = data.draw(st.lists(entry, min_size=top + 1, max_size=top + 1))
+    p = MultiPoly(("a", "b"), {(i, top - i): DPoly(Fraction(x, den) for x in nums)
+                               for i, nums in enumerate(row)})
+    assert _schur_readout(row, den) == schur_expand(divided_difference(p))
+
+
+@pytest.mark.parametrize("lam, m", [((2, 2, 2), 2), ((3, 3, 2), 3), ((5, 3), 5)])
+def test_a_perturbed_smaller_class_breaks_polynomiality(monkeypatch, lam, m):
+    """Adding 1 to any coefficient of the smaller class leaves a remainder."""
+    sub = Partition(lam).remove_one(m)
+    true_class = crs_class(sub)
+    for kl in true_class.expansion.coeffs:
+        coeffs = dict(true_class.expansion.coeffs)
+        coeffs[kl] = coeffs[kl] + 1
+        bad = CRSClass(sub, SchurExpansion(coeffs))
+        monkeypatch.setattr(crs_module, "crs_class",
+                            lambda x, bad=bad: bad if Partition(x) == sub else crs_class(x))
+        with pytest.raises(PolynomialityViolation):
+            crs_class_peeled(lam, m)

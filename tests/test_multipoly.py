@@ -214,3 +214,21 @@ def test_the_two_forms_of_d_do_not_mix():
         wp.substitute({"a": A * D})
     with pytest.raises(TypeError):
         (A * D).substitute({"a": MultiPoly.variable("d")})
+
+
+@pytest.mark.parametrize("k", [2.5, "5/2"], ids=["float", "str"])
+def test_evaluate_d_refuses_inexact_points_either_way(k):
+    """A formal d and d in the scalars accept the same exact points."""
+    with pytest.raises(TypeError):
+        weighted_product(2).evaluate_d(k)
+    with pytest.raises(TypeError):
+        (A * D).evaluate_d(k)
+
+
+def test_evaluate_d_with_a_formal_d_takes_exact_points():
+    wp = weighted_product(2)
+    half = Fraction(5, 2) * A * B + Fraction(15, 4) * B ** 2
+    assert wp.evaluate_d(Fraction(5, 2)) == half
+    assert wp.evaluate_d(DPoly((Fraction(5, 2),))) == half
+    assert wp.evaluate_d(3) == 3 * A * B + 6 * B ** 2
+    assert wp.evaluate_d(DPoly((3,))) == wp.evaluate_d(3)

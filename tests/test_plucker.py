@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rootstrata.combinat import kostka
-from rootstrata.crs import crs_class
+from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import OutOfRange
 from rootstrata.partitions import MAX_WEIGHT, Partition, stratum_partitions
@@ -163,3 +163,34 @@ def test_closed_forms_refuse_degrees_above_the_weight_bound():
     assert mflex_coefficient(MAX_WEIGHT, 0, 0) == 1
     n = (MAX_WEIGHT + 3) // 2  # the largest n with 2n - 3 <= MAX_WEIGHT
     assert zagier_lines(n) == (2 * n - 3) * hyperflex_count(n)
+
+
+def test_degree_rule_and_asymptotics_hold_through_weight_20():
+    """The degree upper bound is attained and the leading terms agree, at scale."""
+    checked = 0
+    for lam in strata(20):
+        table = plucker_table(lam)
+        w = lam.weight
+        for (i, degree), (j, value) in zip(degree_table(lam), asymptotic_plucker(lam),
+                                           strict=True):
+            p = table.polynomial(i)
+            assert i == j and p.degree == degree, (lam, i)
+            assert value == (p.coeffs[w] if p.degree == w else 0), (lam, i)
+            checked += 1
+    assert checked == 4427
+
+
+def test_salmon_quadritangent_count():
+    """Lines tangent at four points to a degree-d surface in P^3.
+
+    Salmon, A Treatise on the Analytic Geometry of Three Dimensions: the
+    quadritangent lines number d(d - 4)(d - 5)(d - 6)(d - 7)(d^3 + 6d^2 + 7d - 30)/12.
+    """
+    salmon = (D * (D - 4) * (D - 5) * (D - 6) * (D - 7)
+              * (D ** 3 + 6 * D ** 2 + 7 * D - 30)) / 12
+    assert plucker_table((2, 2, 2, 2)).polynomial(0) == salmon
+    # the per-degree recursion is a route independent of the symbolic peel
+    for d0 in range(8, 14):
+        assert crs_class_at((2, 2, 2, 2), d0).coefficient(2, 2) == salmon(d0)
+    # zero for degrees 4 to 7; 8*4*3*2*1*922/12 quadritangents on an octic
+    assert [salmon(d) for d in range(4, 9)] == [0, 0, 0, 0, 14752]
