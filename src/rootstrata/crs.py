@@ -9,8 +9,8 @@ it by peeling one largest part per level.
 crs_class_peeled runs each level on dense integer rows: the roots form
 of the smaller class, its binomial twist, the product with the m linear
 Euler factors, and a readout of the Schur coefficients.  _peel does the
-same step on MultiPoly terms for the incidence and universal classes,
-whose roots (eta, zeta, xi) the rows do not carry.
+same step on MultiPoly terms; it serves only the incidence class on the
+flag roots (eta, zeta), and resolving through it cross-checks the rows.
 """
 
 from __future__ import annotations
@@ -87,14 +87,14 @@ class CRSClass:
         return f"CRSClass({self})"
 
 
-def _euler_factor(m, x=_A, y=_B, xi=0, d=D):
-    """Product of (i*x + (d - i)*y + xi) for i = 0 .. m-1.
+def _euler_factor(m, x=_A, y=_B, d=D):
+    """Product of (i*x + (d - i)*y) for i = 0 .. m-1, d the scalar D by default.
 
-    d is the scalar D by default; weighted_product passes a formal variable.
+    weighted_product passes a formal d; _peel passes the flag roots (eta, zeta).
     """
     total = MultiPoly.scalar(1)
     for i in range(m):
-        total = total * (y * (d - i) + x * i + xi)
+        total = total * (y * (d - i) + x * i)
     return total
 
 
@@ -210,16 +210,14 @@ def _schur_readout(row, den):
         for l in range((top + 1) // 2)})
 
 
-def _peel(lam, m, x=_A, y=_B, xi=0):
+def _peel(lam, m, x=_A, y=_B):
     """Twisted class of lam minus one part m, times the m-term Euler factor.
 
     The smaller class has d shifted to d - m and its roots sent to
-    (x*d + xi) / (d - m) and (y*(d - m) + x*m + xi) / (d - m).  The single
-    denominator (d - m)^codim must clear exactly, which doubles as a proof
-    that the answer is polynomial in d.  The incidence classes keep the
-    result on the flag roots (eta, zeta), with xi for a moving hypersurface;
-    on the roots (a, b) its divided difference is what crs_class_peeled
-    computes on rows.
+    x*d / (d - m) and (y*(d - m) + x*m) / (d - m).  The single denominator
+    (d - m)^codim must clear exactly, which proves the answer polynomial
+    in d.  It serves the incidence class on the flag roots (eta, zeta); on
+    (a, b) its divided difference is what crs_class_peeled runs on rows.
     """
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")
@@ -227,8 +225,8 @@ def _peel(lam, m, x=_A, y=_B, xi=0):
     shifted = MultiPoly(prev.variables,
                         {e: c.compose(D - m) for e, c in prev.terms.items()})
     twisted = substitute_homogeneous(
-        shifted, {"a": x * D + xi, "b": y * (D - m) + x * m + xi}, D - m)
-    return twisted * _euler_factor(m, x, y, xi)
+        shifted, {"a": x * D, "b": y * (D - m) + x * m}, D - m)
+    return twisted * _euler_factor(m, x, y)
 
 
 def crs_class_at(lam, d0):

@@ -234,24 +234,26 @@ class MultiPoly:
                 cache.append(cache[-1] * cache[0])
             return cache[n - 1]
 
-        out = []
-        for e, c in self.terms.items():
-            mono = [0] * len(merged)
-            piece = None
-            for name, i, exp in zip(self.variables, at, e):
-                if not exp:
+        def pairs():
+            # Streamed: a product of powers holds far more pairs than the sum.
+            for e, c in self.terms.items():
+                mono = [0] * len(merged)
+                piece = None
+                for name, i, exp in zip(self.variables, at, e):
+                    if not exp:
+                        continue
+                    if i is not None:
+                        mono[i] = exp
+                    else:
+                        pw = power_of(name, exp)
+                        piece = pw if piece is None else piece * pw
+                if piece is None:
+                    yield tuple(mono), c
                     continue
-                if i is not None:
-                    mono[i] = exp
-                else:
-                    pw = power_of(name, exp)
-                    piece = pw if piece is None else piece * pw
-            if piece is None:
-                out.append((tuple(mono), c))
-                continue
-            for pe, pc in _widen(piece, merged)[1]:
-                out.append((tuple(map(add, mono, pe)), pc * c))
-        return _build(merged, out)
+                for pe, pc in _widen(piece, merged)[1]:
+                    yield tuple(map(add, mono, pe)), pc * c
+
+        return _build(merged, pairs())
 
     def evaluate_d(self, k):
         """Specialize d to the rational number k, wherever d lives."""

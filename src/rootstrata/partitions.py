@@ -87,6 +87,8 @@ class Partition:
         return hash(self.parts)
 
     def __lt__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
         return (self.weight, self.parts) < (other.weight, other.parts)
 
     def multiplicities(self):

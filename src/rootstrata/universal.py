@@ -2,23 +2,26 @@
 
 Replacing the fixed form space by the tautological family over projective
 space shifts both Chern roots by xi/d, where xi is the hyperplane class
-of the moduli; the shifted classes stay polynomial in d.
+of the moduli; the shifted classes stay polynomial in d.  _shift_roots is
+that one shift, on the roots (a, b) and on the flag roots (eta, zeta).
 """
 
 from __future__ import annotations
 
-from .crs import as_partition, crs_class, _peel
+from .crs import as_partition, crs_class
 from .dpoly import D, DPoly
-from .flagcalc import FlagClass, q_push
+from .flagcalc import FlagClass, incidence_class, q_push
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import schur_expand
 
-_A = MultiPoly.variable("a")
-_B = MultiPoly.variable("b")
 _XI = MultiPoly.variable("xi")
-_ZETA = MultiPoly.variable("zeta")
-_ETA = MultiPoly.variable("eta")
+
+
+def _shift_roots(poly, x, y):
+    """Send the roots x and y of a homogeneous class to x + xi/d and y + xi/d."""
+    return substitute_homogeneous(
+        poly, {x: MultiPoly.variable(x) * D + _XI, y: MultiPoly.variable(y) * D + _XI}, D)
 
 
 class UniversalClass:
@@ -52,9 +55,7 @@ class UniversalClass:
 def universal_class(lam):
     """Stratum class of the family twisted by the moduli hyperplane class."""
     lam = validate_stratum(as_partition(lam))
-    base = crs_class(lam).to_roots()
-    poly = substitute_homogeneous(base, {"a": _A * D + _XI, "b": _B * D + _XI}, D)
-    return UniversalClass(lam, poly)
+    return UniversalClass(lam, _shift_roots(crs_class(lam).to_roots(), "a", "b"))
 
 
 def hilbert_degree(lam):
@@ -67,8 +68,7 @@ def hilbert_degree(lam):
 
 def universal_incidence_class(lam, m, n):
     """Incidence class of (point, curve in a moving hypersurface) pairs."""
-    lam = validate_stratum(as_partition(lam))
-    return FlagClass(_peel(lam, m, _ETA, _ZETA, _XI), n)
+    return FlagClass(_shift_roots(incidence_class(lam, m).poly, "eta", "zeta"), n)
 
 
 def pencil_locus_class(lam, m, n):

@@ -1,0 +1,89 @@
+"""Torus localization at fixed d: a route independent of the peel.
+
+The map (P^1)^k x P(Sym^(d-w)) -> P(Sym^d) sends (l_1..l_k, g) to
+g * prod l_j^lambda_j onto the stratum closure, with degree prod e_v!
+over the multiplicities e_v of the part values (Feher, Nemethi, Rimanyi,
+Coincident root loci of binary forms, Michigan Math. J. 54 (2006)).
+The Atiyah-Bott sum over its torus fixed points gives the cone class at
+the weights (alpha, beta) of the two roots:
+
+    (1/prod e_v!) sum over s in {0,1}^k and 0 <= r <= d - w of
+    prod_{i != n} (i*alpha + (d - i)*beta)
+    / (prod_j tau(s_j) * prod_{i != r, 0 <= i <= d - w} (i - r)(alpha - beta)),
+
+with n = r + sum of lambda_j over s_j = 1, tau(1) = beta - alpha and
+tau(0) = alpha - beta.  Adding xi to every numerator weight moves the
+hypersurface along the moduli, which gives the universal class.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from rootstrata.crs import crs_class_at
+from rootstrata.partitions import stratum_partitions
+from rootstrata.universal import universal_class
+
+
+def strata(max_weight):
+    out = []
+    for w in range(max_weight + 1):
+        out.extend(stratum_partitions(w))
+    return out
+
+
+def localized(lam, d, alpha, beta, xi=0):
+    """The Atiyah-Bott sum above, exactly, at integer weights."""
+    w, total = lam.weight, Fraction(0)
+    for s in product((0, 1), repeat=len(lam)):
+        ones = sum(p for p, bit in zip(lam.parts, s) if bit)
+        tau = 1
+        for bit in s:
+            tau *= beta - alpha if bit else alpha - beta
+        for r in range(d - w + 1):
+            num = 1
+            for i in range(d + 1):
+                if i != r + ones:
+                    num *= i * alpha + (d - i) * beta + xi
+            den = tau
+            for i in range(d - w + 1):
+                if i != r:
+                    den *= (i - r) * (alpha - beta)
+            total += Fraction(num, den)
+    return total / lam.multiplicity_factorial()
+
+
+def at_point(poly, d, **point):
+    """Value of a polynomial with DPoly coefficients at d and the point."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        term = c(d)
+        for v, k in zip(poly.variables, e):
+            term *= point[v] ** k
+        total += term
+    return total
+
+
+def test_localization_matches_the_fixed_d_recursion():
+    checked = 0
+    for lam in strata(7):
+        w = lam.weight
+        for d in range(w, 2 * w + 2):
+            roots = crs_class_at(lam, d).to_roots()
+            for t in range(2, lam.codim + 4):
+                assert at_point(roots, d, a=t, b=1) == localized(lam, d, t, 1), (lam, d, t)
+                checked += 1
+    assert checked == 611
+
+
+def test_localization_with_xi_matches_the_universal_class():
+    """An independent check of the xi/d root shift in universal_class."""
+    checked = 0
+    for lam in strata(7):
+        poly = universal_class(lam).poly
+        w = lam.weight
+        for d in range(max(w, 1), 2 * w + 2):
+            for t, x in ((2, 1), (3, 5), (5, -2)):
+                got = at_point(poly, d, a=t, b=1, xi=x)
+                assert got == localized(lam, d, t, 1, x), (lam, d, t, x)
+                checked += 1
+    assert checked == 312

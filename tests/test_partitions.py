@@ -75,6 +75,14 @@ def test_ordering_and_equality(parts):
     assert lam.weight == sum(parts)
 
 
+def test_ordering_refuses_other_types():
+    assert Partition((2, 2)) < Partition((5,))
+    for bad in (lambda: Partition((2,)) < 3, lambda: 3 > Partition((2,)),
+                lambda: Partition((2,)) < (3,), lambda: sorted([Partition((2,)), "2"])):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_parse_bounds_the_weight_before_allocating():
     tracemalloc.start()
     try:

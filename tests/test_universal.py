@@ -8,7 +8,7 @@ from rootstrata.crs import crs_class
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import InvalidPartition
 from rootstrata.flagcalc import incidence_class
-from rootstrata.multipoly import MultiPoly
+from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 from rootstrata.partitions import stratum_partitions
 from rootstrata.schur import schur_expand
 from rootstrata.universal import (hilbert_degree, pencil_locus_class,
@@ -66,6 +66,32 @@ def test_universal_incidence_restricts_to_incidence():
             u = universal_incidence_class(lam, m, lam.codim + 2)
             inc = incidence_class(lam, m)
             assert u.poly.coefficient("xi", 0) == inc.poly, (lam, m)
+
+
+def _xi_peel(lam, m):
+    """Universal incidence class peeled with xi inside the twist.
+
+    The smaller class has d shifted to d - m and its roots sent to
+    (eta*d + xi) / (d - m) and (zeta*(d - m) + eta*m + xi) / (d - m), times
+    the product of (i*eta + (d - i)*zeta + xi) for i = 0 .. m-1.
+    """
+    eta, zeta, xi = (MultiPoly.variable(v) for v in ("eta", "zeta", "xi"))
+    prev = crs_class(lam.remove_one(m)).to_roots()
+    shifted = MultiPoly(prev.variables,
+                        {e: c.compose(D - m) for e, c in prev.terms.items()})
+    out = substitute_homogeneous(
+        shifted, {"a": eta * D + xi, "b": zeta * (D - m) + eta * m + xi}, D - m)
+    for i in range(m):
+        out = out * (eta * i + zeta * (D - i) + xi)
+    return out
+
+
+def test_universal_incidence_is_the_xi_peel():
+    """Shifting the incidence class by xi/d equals peeling with xi in the roots."""
+    for lam in strata(10):
+        for m in sorted(set(lam.parts)):
+            got = universal_incidence_class(lam, m, lam.codim + 2)
+            assert got.poly == _xi_peel(lam, m), (lam, m)
 
 
 def test_pencil_golden():
