@@ -6,21 +6,30 @@ the Schur basis s_{k,l} of the symmetric functions of the two Chern
 roots, with coefficients that are polynomials in d; crs_class computes
 it by peeling one largest part per level.
 
-crs_class_peeled runs each level on dense integer rows: the roots form
-of the smaller class, its binomial twist, the product with the m linear
-Euler factors, and a readout of the Schur coefficients.  _peel does the
-same step on MultiPoly terms; it serves only the incidence class on the
-flag roots (eta, zeta), and resolving through it cross-checks the rows.
+crs_class_peeled runs each level in e = d - m, where the twist divides
+row i by e^i.  Each e-polynomial of a row is one int, its value at
+e = 2^B with signed digits (Kronecker substitution): d^j is (v << B) + m*v
+per power, an Euler factor gives i*prev + (cur << B) + (m - i)*cur, and
+e^i divides v exactly when its low i*B bits are zero.  Masks and digits
+are exact while every e-coefficient stays below 2^(B-1).  For rows of
+numerators at most R, the weights C(n-j, i-j) m^(i-j) (1+m)^j of a twisted
+row sum to (1+m)^i C(n+1, i) <= (1+m)^n 2^n at most, those of the Euler
+product to (m+1)^m, and a Schur coefficient is a difference of two rows:
+B = bitlength(R (m+1)^(n+m)) + n + 2 puts 2^(B-1) above
+R (1+m)^n 2^n (m+1)^m 2.  Horner's rule in a base wider by (1+m)^digits
+takes each readout back to d.  _peel does the same step on MultiPoly
+terms for the flag roots (eta, zeta); resolving through it cross-checks
+the packed level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate, zip_longest
 from operator import index
 
-from .dpoly import D, _canonical, common_numerators, divmod_monic, taylor_shift
+from .dpoly import D, _canonical, common_numerators, taylor_shift
 from .errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
@@ -125,89 +134,80 @@ def _crs_cached(parts):
 def crs_class_peeled(lam, m):
     """One recursion level that peels a chosen part value m off lam.
 
-    The level runs on rows: row[i] is the coefficient of a^i b^(n - i) as a
-    list of integer numerators, every list of one length and over one shared
-    denominator.  CRSClass bounds each coefficient's degree by the weight,
-    so the lengths are fixed in advance; only the readout makes DPolys.
+    Row i of the smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
     """
     lam = validate_stratum(as_partition(lam))
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")
-    row, den = _roots_row(crs_class(lam.remove_one(m)), m)
-    row = _euler_row(_twist_row(row, m), m)
-    return CRSClass(lam, _schur_readout(row, den * lam.multiplicity(m)))
-
-
-def _roots_row(cls, m):
-    """The class on the roots a, b with d shifted to d - m, as (row, den).
-
-    The coefficient of a^i b^(n - i) sums c_{k,l} over l <= i <= k, which
-    is the running sum of c_{n-l,l} up to l = min(i, n - i).  Each list
-    has weight + 1 entries.
-    """
-    n, width = cls.partition.codim, cls.partition.weight + 1
+    cls = crs_class(lam.remove_one(m))
+    n = cls.partition.codim
     lists, den = common_numerators(
         [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
-    half, acc = [], [0] * width
-    for nums in lists:
-        acc = [x + y for x, y in zip(acc, nums + [0] * (width - len(nums)))]
-        half.append(taylor_shift(acc, -m))
-    return [half[min(i, n - i)] for i in range(n + 1)], den
+    half = list(accumulate(lists, lambda acc, nums: [
+        x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
+    rows = [half[min(i, n - i)] for i in range(n + 1)]
+    return CRSClass(lam, _level(rows, m, den * lam.multiplicity(m)))
 
 
-def _twist_row(row, m):
-    """Send a to a*d / (d - m) and b to (b*(d - m) + a*m) / (d - m).
+def _level(rows, m, den):
+    """Schur readout over den of the twisted rows times the Euler factors.
 
-    The coefficient of a^i b^(n - i) is the sum over j <= i of
-    C(n - j, i - j) m^(i - j) d^j row[j], over (d - m)^i.  One long division
-    by (d - m)^i must leave no remainder, or the class would not be
-    polynomial in d; the quotient keeps the width of the row.
+    Twisted row i, a Taylor shift by m of the reversed d^j rows[j], is the
+    sum over j <= i of C(n - j, i - j) m^(i - j) d^j rows[j] over e^i.
     """
-    n, width = len(row) - 1, len(row[0])
-    out, divisor = [], [1]
-    for i in range(n + 1):
-        acc = [0] * (width + i)
-        for j in range(i + 1):
-            scale = comb(n - j, i - j) * m ** (i - j)
-            acc[j:j + width] = [x + scale * y for x, y in zip(acc[j:j + width], row[j])]
-        quot, rem = divmod_monic(acc, divisor)
-        if any(rem):
-            raise PolynomialityViolation(
-                f"(d - {m})**{i} does not divide the twisted coefficient "
-                f"of a^{i} b^{n - i}")
-        out.append(quot)
-        divisor = [y - m * x for x, y in zip(divisor + [0], [0] + divisor)]
+    n = len(rows) - 1
+    bits = (max(max(map(abs, nums)) for nums in rows)
+            * (m + 1) ** (n + m)).bit_length() + n + 2
+    row = []
+    for j, nums in enumerate(rows):
+        v = _pack(nums, bits)
+        for _ in range(j):
+            v = (v << bits) + m * v
+        row.append(v)
+    row = taylor_shift(row[::-1], m)[::-1]
+    for i, v in enumerate(row):
+        if v & ((1 << i * bits) - 1):
+            raise PolynomialityViolation(f"(d - {m})**{i} does not divide the twisted "
+                                         f"coefficient of a^{i} b^{n - i}")
+        row[i] = v >> i * bits
+    for i in range(m):
+        row = [i * p + (c << bits) + (m - i) * c for p, c in zip([0] + row, row + [0])]
+    return _schur_readout(row, den, m, bits)
+
+
+def _pack(nums, bits):
+    """The integers nums, lowest first, as one int at e = 2^bits."""
+    v = 0
+    for x in reversed(nums):
+        v = (v << bits) + x
+    return v
+
+
+def _digits(v, bits):
+    """Signed base-2^bits digits of v, lowest first, each below 2^(bits-1)."""
+    half, mask, out = 1 << (bits - 1), (1 << bits) - 1, []
+    while v:
+        v += half
+        out.append((v & mask) - half)
+        v >>= bits
     return out
 
 
-def _euler_row(row, m):
-    """Multiply by (i*a + (d - i)*b) for i = 0 .. m-1, one factor at a time.
-
-    Each list gains m entries up front; each factor raises the degree by at
-    most one, so the top entry is zero whenever d multiplies it.
-    """
-    row = [nums + [0] * m for nums in row]
-    zero = [0] * len(row[0])
-    for i in range(m):
-        out, prev = [], zero
-        for cur in row + [zero]:
-            out.append([i * (p - c) + s for p, c, s in zip(prev, cur, [0] + cur)])
-            prev = cur
-        row = out
-    return row
-
-
-def _schur_readout(row, den):
+def _schur_readout(row, den, m, bits):
     """Schur expansion of the divided difference of the row, over den.
 
-    Readout identity: for P = sum of P[i] a^i b^(N - i), the coefficient
-    of s_{k,l} in schur_expand(divided_difference(P)) is P[l] - P[k + 1],
-    for k + l = N - 1 and k >= l.
+    Readout identity: for P = sum of P[i] a^i b^(N - i), the s_{k,l} coefficient
+    is P[l] - P[k + 1] (k + l = N - 1, k >= l); Horner on its e-digits gives d.
     """
-    top = len(row) - 1
-    return SchurExpansion({
-        (top - 1 - l, l): _canonical([x - y for x, y in zip(row[l], row[top - l])], den)
-        for l in range((top + 1) // 2)})
+    top, out = len(row) - 1, {}
+    for l in range((top + 1) // 2):
+        digits = _digits(row[l] - row[top - l], bits)
+        wide = bits + ((m + 1) ** len(digits)).bit_length()
+        p = 0
+        for c in reversed(digits):
+            p = (p << wide) - m * p + c
+        out[(top - 1 - l, l)] = _canonical(_digits(p, wide), den)
+    return SchurExpansion(out)
 
 
 def _peel(lam, m, x=_A, y=_B):
@@ -217,7 +217,7 @@ def _peel(lam, m, x=_A, y=_B):
     x*d / (d - m) and (y*(d - m) + x*m) / (d - m).  The single denominator
     (d - m)^codim must clear exactly, which proves the answer polynomial
     in d.  It serves the incidence class on the flag roots (eta, zeta); on
-    (a, b) its divided difference is what crs_class_peeled runs on rows.
+    (a, b) its divided difference is what crs_class_peeled runs packed.
     """
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import factorial
 from operator import index
 
@@ -13,8 +14,9 @@ from .errors import InvalidPartition
 MAX_WEIGHT = 100
 
 
+@total_ordering
 class Partition:
-    """Weakly decreasing tuple of positive parts."""
+    """Weakly decreasing tuple of positive parts, ordered by (weight, parts)."""
 
     __slots__ = ("parts",)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .crs import as_partition, crs_class
 from .dpoly import D, DPoly
 from .flagcalc import FlagClass, incidence_class, q_push
-from .multipoly import MultiPoly, substitute_homogeneous
+from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import schur_expand
 
@@ -75,8 +75,12 @@ def pencil_locus_class(lam, m, n):
     """Points whose m-fold tangent curves inside a pencil sweep the space.
 
     Push forward the xi-linear piece of the universal incidence class
-    along the point map.
+    along the point map.  Shifting eta and zeta by xi/d makes that piece
+    (d/d eta + d/d zeta) of the incidence class, over d.
     """
-    u = universal_incidence_class(lam, m, n)
-    linear = u.poly.coefficient("xi", 1)
+    poly = incidence_class(lam, m).poly
+    flag = [i for i, v in enumerate(poly.variables) if v in ("eta", "zeta")]
+    linear = _build(poly.variables, [
+        (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i] / D)
+        for e, c in poly.terms.items() for i in flag if e[i]])
     return q_push(FlagClass(linear, n))

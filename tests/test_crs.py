@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _peel, _schur_readout, crs_class,
-                            crs_class_at, crs_class_peeled, crs_m_closed,
-                            euler_identity_check, euler_pol, leading_term,
-                            weighted_product)
-from rootstrata.dpoly import D, DPoly, interpolate
+from rootstrata.crs import (CRSClass, _level, _pack, _peel, _schur_readout,
+                            crs_class, crs_class_at, crs_class_peeled,
+                            crs_m_closed, euler_identity_check, euler_pol,
+                            leading_term, weighted_product)
+from rootstrata.dpoly import (D, DPoly, _canonical, common_numerators,
+                              divmod_monic, interpolate, taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition, stratum_partitions
@@ -218,7 +220,8 @@ def test_schur_readout_identity(top, width, den, data):
     row = data.draw(st.lists(entry, min_size=top + 1, max_size=top + 1))
     p = MultiPoly(("a", "b"), {(i, top - i): DPoly(Fraction(x, den) for x in nums)
                                for i, nums in enumerate(row)})
-    assert _schur_readout(row, den) == schur_expand(divided_difference(p))
+    assert (_schur_readout([_pack(nums, 8) for nums in row], den, 0, 8)
+            == schur_expand(divided_difference(p)))
 
 
 @pytest.mark.parametrize("lam, m", [((2, 2, 2), 2), ((3, 3, 2), 3), ((5, 3), 5)])
@@ -234,3 +237,115 @@ def test_a_perturbed_smaller_class_breaks_polynomiality(monkeypatch, lam, m):
                             lambda x, bad=bad: bad if Partition(x) == sub else crs_class(x))
         with pytest.raises(PolynomialityViolation):
             crs_class_peeled(lam, m)
+
+
+# The list kernel the packed level replaced, kept as its reference: rows of
+# d-coefficient lists of one width, over one shared denominator.
+
+def list_roots_row(cls, m):
+    """The class on the roots a, b with d shifted to d - m, as (row, den)."""
+    n, width = cls.partition.codim, cls.partition.weight + 1
+    lists, den = common_numerators(
+        [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
+    half, acc = [], [0] * width
+    for nums in lists:
+        acc = [x + y for x, y in zip(acc, nums + [0] * (width - len(nums)))]
+        half.append(taylor_shift(acc, -m))
+    return [half[min(i, n - i)] for i in range(n + 1)], den
+
+
+def list_twist_row(row, m):
+    """Send a to a*d / (d - m) and b to (b*(d - m) + a*m) / (d - m)."""
+    n, width = len(row) - 1, len(row[0])
+    out, divisor = [], [1]
+    for i in range(n + 1):
+        acc = [0] * (width + i)
+        for j in range(i + 1):
+            scale = comb(n - j, i - j) * m ** (i - j)
+            acc[j:j + width] = [x + scale * y for x, y in zip(acc[j:j + width], row[j])]
+        quot, rem = divmod_monic(acc, divisor)
+        if any(rem):
+            raise PolynomialityViolation(f"(d - {m})**{i} leaves a remainder")
+        out.append(quot)
+        divisor = [y - m * x for x, y in zip(divisor + [0], [0] + divisor)]
+    return out
+
+
+def list_euler_row(row, m):
+    """Multiply by (i*a + (d - i)*b) for i = 0 .. m-1, one factor at a time."""
+    row = [nums + [0] * m for nums in row]
+    zero = [0] * len(row[0])
+    for i in range(m):
+        out, prev = [], zero
+        for cur in row + [zero]:
+            out.append([i * (p - c) + s for p, c, s in zip(prev, cur, [0] + cur)])
+            prev = cur
+        row = out
+    return row
+
+
+def list_schur_readout(row, den):
+    """Schur coefficient of s_{k,l} is row[l] - row[k + 1], over den."""
+    top = len(row) - 1
+    return SchurExpansion({
+        (top - 1 - l, l): _canonical([x - y for x, y in zip(row[l], row[top - l])], den)
+        for l in range((top + 1) // 2)})
+
+
+def list_level(rows, m, den):
+    """The list kernel on rows of e-coefficients, e = d - m."""
+    width = max(map(len, rows))
+    row = [taylor_shift(nums + [0] * (width - len(nums)), -m) for nums in rows]
+    return list_schur_readout(list_euler_row(list_twist_row(row, m), m), den)
+
+
+def test_list_reference_reproduces_the_classes():
+    for lam in strata(10):
+        for m in set(lam.parts):
+            row, den = list_roots_row(crs_class(lam.remove_one(m)), m)
+            got = list_schur_readout(list_euler_row(list_twist_row(row, m), m),
+                                     den * lam.multiplicity(m))
+            assert got == crs_class(lam).expansion, (lam, m)
+
+
+def _divisible_rows(n, gs):
+    """Rows of sum over k of e^(n-k) gs[k](e) (b - a)^k a^(n-k), by a^i b^(n-i).
+
+    The twist sends b - a to e*(b - a) and a to a*(e + m), so these are
+    exactly the rows whose twisted row i the power e^i divides.
+    """
+    width = max(len(g) + n - k for k, g in enumerate(gs))
+    rows = [[0] * width for _ in range(n + 1)]
+    for k, g in enumerate(gs):
+        for t in range(k + 1):  # b^t (-a)^(k-t) a^(n-k) lands on row n - t
+            scale = comb(k, t) * (-1) ** (k - t)
+            for u, x in enumerate(g):
+                rows[n - t][n - k + u] += scale * x
+    return rows
+
+
+@given(st.integers(0, 8), st.integers(1, 12), st.integers(1, 10 ** 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_level_matches_the_list_kernel(n, m, den, data):
+    """Same readout as the list kernel, or PolynomialityViolation from both."""
+    big = st.integers(-(2 ** 300), 2 ** 300)
+    kind = data.draw(st.sampled_from(["divisible", "perturbed", "random"]))
+    if kind == "random":
+        width = data.draw(st.integers(1, 30))
+        rows = data.draw(st.lists(st.lists(big, min_size=width, max_size=width),
+                                  min_size=n + 1, max_size=n + 1))
+    else:
+        gs = [data.draw(st.lists(big, min_size=1, max_size=30 - (n - k)))
+              for k in range(n + 1)]
+        rows = _divisible_rows(n, gs)
+        if kind == "perturbed":
+            i = data.draw(st.integers(0, n))
+            t = data.draw(st.integers(0, max(0, min(n, len(rows[i])) - 1)))
+            rows[i][t] += data.draw(big.filter(bool))
+    try:
+        want = list_level(rows, m, den)
+    except PolynomialityViolation:
+        with pytest.raises(PolynomialityViolation):
+            _level(rows, m, den)
+    else:
+        assert _level(rows, m, den) == want

@@ -83,6 +83,19 @@ def test_ordering_refuses_other_types():
             bad()
 
 
+def test_every_comparison_orders_by_weight_then_parts():
+    assert Partition((2,)) <= Partition((3,))
+    lams = [Partition(p) for p in [(), (1,), (2,), (1, 1), (3,), (2, 1), (2, 2), (4,), (3, 1)]]
+    for x in lams:
+        for y in lams:
+            kx, ky = (x.weight, x.parts), (y.weight, y.parts)
+            assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+    for bad in (lambda: Partition((2,)) <= 3, lambda: Partition((2,)) >= 3,
+                lambda: Partition((2,)) > 3, lambda: 3 <= Partition((2,))):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_parse_bounds_the_weight_before_allocating():
     tracemalloc.start()
     try:

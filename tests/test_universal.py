@@ -7,7 +7,7 @@ import pytest
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import InvalidPartition
-from rootstrata.flagcalc import incidence_class
+from rootstrata.flagcalc import FlagClass, incidence_class, q_push
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 from rootstrata.partitions import stratum_partitions
 from rootstrata.schur import schur_expand
@@ -100,6 +100,15 @@ def test_pencil_golden():
     assert next(iter(got.poly.coefficient("zeta", 1).terms.values())) == wanted
     assert wanted(4) == 46
     assert wanted(5) == 138
+
+
+def test_pencil_locus_is_the_xi_linear_slice():
+    """The derivative form equals the xi^1 slice of the shifted incidence class."""
+    for lam in strata(10):
+        for m in sorted(set(lam.parts)):
+            n = lam.codim + 2
+            linear = universal_incidence_class(lam, m, n).poly.coefficient("xi", 1)
+            assert pencil_locus_class(lam, m, n) == q_push(FlagClass(linear, n)), (lam, m)
 
 
 def test_pencil_single_tangency_is_the_whole_plane():
