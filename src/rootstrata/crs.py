@@ -99,7 +99,8 @@ class CRSClass:
 def _euler_factor(m, x=_A, y=_B, d=D):
     """Product of (i*x + (d - i)*y) for i = 0 .. m-1, d the scalar D by default.
 
-    weighted_product passes a formal d; _peel passes the flag roots (eta, zeta).
+    crs_m_closed uses the defaults; weighted_product passes a formal d,
+    euler_pol an integer d, and _peel the flag roots (eta, zeta).
     """
     total = MultiPoly.scalar(1)
     for i in range(m):
@@ -260,10 +261,7 @@ def crs_m_closed(m):
 def euler_pol(d0):
     """Equivariant Euler class of the space of binary degree-d0 forms."""
     d0 = index(d0)
-    total = MultiPoly.scalar(1)
-    for i in range(d0 + 1):
-        total = total * (_A * i + _B * (d0 - i))
-    return total
+    return _euler_factor(d0 + 1, d=d0)
 
 
 def euler_identity_check(d0):

@@ -2,7 +2,7 @@
 
 Replacing the fixed form space by the tautological family over projective
 space shifts both Chern roots by xi/d, where xi is the hyperplane class
-of the moduli; the shifted classes stay polynomial in d.  _shift_roots is
+of the moduli; the shifted classes stay polynomial in d.  _xi_slices is
 that one shift, on the roots (a, b) and on the flag roots (eta, zeta).
 """
 
@@ -11,17 +11,33 @@ from __future__ import annotations
 from .crs import as_partition, crs_class
 from .dpoly import D, DPoly
 from .flagcalc import FlagClass, incidence_class, q_push
-from .multipoly import MultiPoly, _build, substitute_homogeneous
+# substitute_homogeneous is unused here; tracers patch every module's binding of it.
+from .multipoly import MultiPoly, _build, _ordered, _widen, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import schur_expand
 
-_XI = MultiPoly.variable("xi")
+
+def _xi_slices(poly, x, y):
+    """The xi^t coefficients of poly with x and y sent to x + xi/d and y + xi/d.
+
+    Slice t is (d/dx + d/dy) of slice t - 1, over t and then over d; the
+    division by the monic D is exact or raises PolynomialityViolation.
+    """
+    t = 0
+    while poly:
+        yield poly
+        t += 1
+        poly = _build(poly.variables, [
+            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in poly.terms.items()
+            for i, v in enumerate(poly.variables) if e[i] and v in (x, y)]) / t / D
 
 
 def _shift_roots(poly, x, y):
-    """Send the roots x and y of a homogeneous class to x + xi/d and y + xi/d."""
-    return substitute_homogeneous(
-        poly, {x: MultiPoly.variable(x) * D + _XI, y: MultiPoly.variable(y) * D + _XI}, D)
+    """Send the roots x and y of a class to x + xi/d and y + xi/d."""
+    merged = _ordered(poly.variables + ("xi",))
+    k = merged.index("xi")
+    return _build(merged, ((e[:k] + (t,) + e[k + 1:], c) for t, s in enumerate(
+        _xi_slices(poly, x, y)) for e, c in _widen(s, merged)[1]))
 
 
 class UniversalClass:
@@ -74,13 +90,9 @@ def universal_incidence_class(lam, m, n):
 def pencil_locus_class(lam, m, n):
     """Points whose m-fold tangent curves inside a pencil sweep the space.
 
-    Push forward the xi-linear piece of the universal incidence class
-    along the point map.  Shifting eta and zeta by xi/d makes that piece
-    (d/d eta + d/d zeta) of the incidence class, over d.
+    Push forward the xi-linear slice of the universal incidence class
+    along the point map.
     """
-    poly = incidence_class(lam, m).poly
-    flag = [i for i, v in enumerate(poly.variables) if v in ("eta", "zeta")]
-    linear = _build(poly.variables, [
-        (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i] / D)
-        for e, c in poly.terms.items() for i in flag if e[i]])
-    return q_push(FlagClass(linear, n))
+    slices = _xi_slices(incidence_class(lam, m).poly, "eta", "zeta")
+    next(slices, None)
+    return q_push(FlagClass(next(slices, MultiPoly.zero()), n))

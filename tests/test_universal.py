@@ -23,6 +23,13 @@ def strata(max_weight):
     return out
 
 
+def _shift_by_substitution(poly, x, y):
+    """Reference shift: x, y -> (x*d + xi) / d, (y*d + xi) / d over one d^codim."""
+    xi = MultiPoly.variable("xi")
+    return substitute_homogeneous(
+        poly, {x: MultiPoly.variable(x) * D + xi, y: MultiPoly.variable(y) * D + xi}, D)
+
+
 def test_universal_golden_small():
     u = universal_class((2,))
     assert str(u.poly) == "(d^2 - d)*a + (d^2 - d)*b + (2*d - 2)*xi"
@@ -50,6 +57,20 @@ def test_universal_slices_have_expected_degrees():
                 assert dp.degree <= lam.weight - t
 
 
+def test_universal_class_matches_the_substitution():
+    for lam in strata(12):
+        wanted = _shift_by_substitution(crs_class(lam).to_roots(), "a", "b")
+        assert universal_class(lam).poly == wanted, lam
+
+
+def test_hilbert_degree_is_the_class_at_one_over_d_to_the_codim():
+    """The top xi slice is the class at a = b = 1, where s_(k,l) is k - l + 1."""
+    for lam in strata(14):
+        at_one = sum((c * (k - l + 1) for (k, l), c in crs_class(lam).expansion.items()),
+                     DPoly())
+        assert hilbert_degree(lam) == at_one / D ** lam.codim, lam
+
+
 def test_hilbert_degrees():
     assert hilbert_degree((2,)) == 2 * (D - 1)
     assert hilbert_degree((3,)) == 3 * (D - 2)
@@ -66,6 +87,14 @@ def test_universal_incidence_restricts_to_incidence():
             u = universal_incidence_class(lam, m, lam.codim + 2)
             inc = incidence_class(lam, m)
             assert u.poly.coefficient("xi", 0) == inc.poly, (lam, m)
+
+
+def test_universal_incidence_matches_the_substitution():
+    for lam in strata(10):
+        for m in sorted(set(lam.parts)):
+            got = universal_incidence_class(lam, m, lam.codim + 2).poly
+            wanted = _shift_by_substitution(incidence_class(lam, m).poly, "eta", "zeta")
+            assert got == wanted, (lam, m)
 
 
 def _xi_peel(lam, m):
@@ -103,11 +132,12 @@ def test_pencil_golden():
 
 
 def test_pencil_locus_is_the_xi_linear_slice():
-    """The derivative form equals the xi^1 slice of the shifted incidence class."""
+    """The pencil locus pushes forward the xi^1 slice of the shifted incidence class."""
     for lam in strata(10):
         for m in sorted(set(lam.parts)):
             n = lam.codim + 2
-            linear = universal_incidence_class(lam, m, n).poly.coefficient("xi", 1)
+            shifted = _shift_by_substitution(incidence_class(lam, m).poly, "eta", "zeta")
+            linear = shifted.coefficient("xi", 1)
             assert pencil_locus_class(lam, m, n) == q_push(FlagClass(linear, n)), (lam, m)
 
 
