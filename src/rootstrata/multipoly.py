@@ -317,19 +317,24 @@ def as_multipoly(x):
 def substitute_homogeneous(p, numerators, den):
     """Substitute var -> numerators[var] / den into a homogeneous polynomial.
 
-    The den**degree shared denominator must divide the result exactly;
-    a nonzero remainder raises PolynomialityViolation.  Keeping a single
-    cleared denominator is what lets every intermediate stay in DPoly.
+    Horner's rule in the last variable: for t from the degree down to 0,
+    total = total * numerators[last] + (coefficient of last^t, substituted).
+    den**degree must then divide each coefficient exactly; a remainder
+    raises PolynomialityViolation.  The one cleared denominator keeps every
+    intermediate in DPoly.  A constant p comes back as is.
     """
-    if not p:
-        return MultiPoly.zero()
+    if not p.variables:
+        return p
     if not p.is_homogeneous():
         raise ValueError("shared-denominator substitution needs a homogeneous input")
     missing = [v for v in p.variables if v not in numerators]
     if missing:
         raise ValueError(f"no numerator given for {missing}")
     c = p.total_degree()
-    total = p.substitute(numerators)
+    last = p.variables[-1]
+    total = MultiPoly.zero()
+    for t in range(c, -1, -1):
+        total = total * numerators[last] + p.coefficient(last, t).substitute(numerators)
     shift = den ** c
     out = []
     for e, coeff in total.terms.items():

@@ -122,28 +122,17 @@ class SchurExpansion:
 def schur_expand(p, x="a", y="b"):
     """Write a symmetric polynomial in x, y as a combination of s_{k,l}.
 
-    Works by stripping the graded-lex leading monomial, which for a
-    symmetric polynomial always has exponents k >= l.
+    With P[i, j] the coefficient of x^i y^j, the s_{N-j,j} coefficient is
+    P[N-j, j] - P[N-j+1, j-1] for every j <= N/2 in each degree N present:
+    the running differences that undo s_{k,l} = sum of x^(l+t) y^(k-t).
     """
     p = as_multipoly(p)
     if not p.is_symmetric(x, y):
         raise NotSymmetric(f"not symmetric in {x}, {y}: {p}")
-    work = p.two_var_terms(x, y)
-    out = {}
-    while work:
-        i, j = max(work, key=lambda e: (e[0] + e[1], e[0]))
-        c = work.pop((i, j))
-        if i < j:
-            raise NotSymmetric(f"leading monomial {x}^{i} {y}^{j} has i < j")
-        out[(i, j)] = c
-        for t in range(i - j):
-            key = (j + t, i - t)
-            rest = work.get(key, ZERO) - c
-            if not rest:
-                work.pop(key, None)
-            else:
-                work[key] = rest
-    return SchurExpansion(out)
+    terms = p.two_var_terms(x, y)
+    return SchurExpansion({
+        (n - j, j): terms.get((n - j, j), ZERO) - terms.get((n - j + 1, j - 1), ZERO)
+        for n in {i + j for i, j in terms} for j in range(n // 2 + 1)})
 
 
 def schur_to_roots(e, x="a", y="b"):

@@ -75,11 +75,14 @@ def universal_class(lam):
 
 
 def hilbert_degree(lam):
-    """Degree of the stratum as a projective subvariety of the form space."""
+    """Degree of the stratum as a projective subvariety of the form space.
+
+    The top xi slice: the class at a = b = 1, where s_{k,l} is k - l + 1, over D**codim.
+    """
     lam = validate_stratum(as_partition(lam))
-    u = universal_class(lam)
-    top = u.poly.coefficient("xi", lam.codim)
-    return next(iter(top.terms.values()), DPoly())
+    at_one = sum((c * (k - l + 1) for (k, l), c in crs_class(lam).expansion.items()),
+                 DPoly())
+    return at_one / D ** lam.codim
 
 
 def universal_incidence_class(lam, m, n):

@@ -236,12 +236,12 @@ _tokens = st.one_of(
 
 
 def _quick(text):
-    """Keep garbage and refused strings, but only valid partitions of weight <= 14.
+    """Keep garbage and refused strings, but only valid partitions of weight <= 30.
 
-    Heavier valid partitions are answered too, just in seconds each.
+    Heavier valid partitions are answered too, in up to a few seconds each.
     """
     try:
-        return Partition.parse(text).weight <= 14
+        return Partition.parse(text).weight <= 30
     except InvalidPartition:
         return True
 

@@ -118,6 +118,63 @@ def test_substitute_homogeneous_rejects_nonpolynomial_results():
         substitute_homogeneous(p, {"a": A * D + 1}, D - 2)
 
 
+def substitute_then_divide(p, numerators, den):
+    """Reference: substitute every power product, then divide each coefficient."""
+    total, shift = p.substitute(numerators), den ** p.total_degree()
+    out = {}
+    for e, c in total.terms.items():
+        q, r = c.divmod(shift)
+        if r:
+            raise PolynomialityViolation("inexact")
+        out[e] = q
+    return MultiPoly(total.variables, out)
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """A homogeneous p in 0-3 of a, b, xi (none: a constant), its numerators, a den.
+
+    Half the time p's coefficients carry den**degree, so the division is exact.
+    """
+    names = draw(st.lists(st.sampled_from(("xi", "b", "a")), max_size=3, unique=True))
+    degree = draw(st.integers(1, 3)) if names else 0
+    picks = st.lists(st.integers(0, max(len(names) - 1, 0)), min_size=degree, max_size=degree)
+    monos = picks.map(lambda ps: tuple(ps.count(i) for i in range(len(names))))
+    nonzero = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(DPoly)
+    den = draw(st.sampled_from((D, D - 2, 2 * D + 1, DPoly((3,)))))
+    scale = den ** degree if draw(st.booleans()) else DPoly((1,))
+    p = MultiPoly(names, {e: c * scale for e, c in
+                          draw(st.dictionaries(monos, nonzero, min_size=1, max_size=4)).items()})
+    lin = st.tuples(small_dpolys, small_dpolys, small_dpolys).map(
+        lambda cs: A * cs[0] + B * cs[1] + XI * cs[2])
+    numerators = {v: draw(lin) for v in names}
+    return p, numerators, den
+
+
+@given(homogeneous_cases())
+@settings(max_examples=80, deadline=None)
+def test_substitute_homogeneous_matches_the_reference(case):
+    p, numerators, den = case
+    try:
+        want = substitute_then_divide(p, numerators, den)
+    except PolynomialityViolation:
+        with pytest.raises(PolynomialityViolation):
+            substitute_homogeneous(p, numerators, den)
+    else:
+        assert substitute_homogeneous(p, numerators, den) == want
+
+
+def test_substitute_homogeneous_constant_and_inexact_cases():
+    for const in (MultiPoly.zero(), MultiPoly.scalar(D - 5)):
+        assert substitute_homogeneous(const, {}, D) == const
+        assert substitute_then_divide(const, {}, D) == const
+    # (a*d + 1)(b*d) / d^2 = a*b + b/d leaves a remainder in the b term
+    with pytest.raises(PolynomialityViolation):
+        substitute_homogeneous(A * B, {"a": A * D + 1, "b": B * D}, D)
+    with pytest.raises(PolynomialityViolation):
+        substitute_then_divide(A * B, {"a": A * D + 1, "b": B * D}, D)
+
+
 def test_substitute_homogeneous_xi_shift():
     p = A * B * (D ** 2)
     got = substitute_homogeneous(p, {"a": A * D + XI, "b": B * D + XI}, D)

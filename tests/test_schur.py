@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rootstrata.dpoly import ZERO, DPoly
 from rootstrata.errors import NotSymmetric
 from rootstrata.multipoly import MultiPoly
 from rootstrata.schur import (SchurExpansion, chern_to_schur,
@@ -108,6 +109,75 @@ def test_schur_expand_round_trip_random(entries):
 def test_schur_expand_rejects_asymmetric_input():
     with pytest.raises(NotSymmetric):
         schur_expand(A - B)
+
+
+def strip_expand(p, x="a", y="b"):
+    """Reference expansion: strip the graded-lex leading monomial x^i y^j,
+    record its coefficient at s_{i,j} and subtract that s_{i,j} from the rest.
+    """
+    work = p.two_var_terms(x, y)
+    out = {}
+    while work:
+        i, j = max(work, key=lambda e: (e[0] + e[1], e[0]))
+        c = work.pop((i, j))
+        assert i >= j, (i, j)
+        out[(i, j)] = c
+        for t in range(i - j):
+            key = (j + t, i - t)
+            rest = work.get(key, ZERO) - c
+            if not rest:
+                work.pop(key, None)
+            else:
+                work[key] = rest
+    return SchurExpansion(out)
+
+
+d_coeffs = st.lists(coeffs, min_size=1, max_size=3).map(DPoly)
+
+
+@st.composite
+def symmetric_polys(draw):
+    """Symmetric polynomials in a, b of mixed degrees with DPoly coefficients.
+
+    Each drawn monomial a^i b^j (i >= j) also sets a^j b^i, so most degrees
+    have gaps: a zero P[N - j] next to a nonzero P[N - j + 1].
+    """
+    pairs = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda t: (max(t), min(t)))
+    entries = draw(st.dictionaries(pairs, d_coeffs, max_size=8))
+    terms = {}
+    for (i, j), c in entries.items():
+        terms[(i, j)] = terms[(j, i)] = c
+    return MultiPoly(("a", "b"), terms)
+
+
+@given(symmetric_polys())
+@settings(max_examples=80, deadline=None)
+def test_schur_expand_matches_the_stripping_loop(p):
+    got = schur_expand(p)
+    assert got == strip_expand(p)
+    assert got.to_roots() == p
+
+
+def test_schur_expand_reads_a_coefficient_beside_a_zero():
+    """a^3 + b^3 has no a^2 b, yet its s_{2,1} coefficient is 0 - 1."""
+    p = A ** 3 + B ** 3
+    want = SchurExpansion({(3, 0): 1, (2, 1): -1})
+    assert schur_expand(p) == strip_expand(p) == want
+
+
+@given(symmetric_polys(), st.tuples(st.integers(0, 6), st.integers(0, 6)), d_coeffs)
+@settings(max_examples=40, deadline=None)
+def test_not_symmetric_raises_before_any_expansion(p, mono, c):
+    p = p + MultiPoly(("a", "b"), {mono: c})
+    assume(not p.is_symmetric())
+
+    def unreachable(*args):
+        raise AssertionError("expanded an asymmetric input")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(MultiPoly, "two_var_terms", unreachable)
+        with pytest.raises(NotSymmetric):
+            schur_expand(p)
 
 
 def test_schur_units_in_chern_classes():

@@ -64,11 +64,10 @@ def test_universal_class_matches_the_substitution():
 
 
 def test_hilbert_degree_is_the_class_at_one_over_d_to_the_codim():
-    """The top xi slice is the class at a = b = 1, where s_(k,l) is k - l + 1."""
+    """hilbert_degree reads the class at a = b = 1 over d^codim; that is the
+    top xi slice of the universal class, which builds every slice."""
     for lam in strata(14):
-        at_one = sum((c * (k - l + 1) for (k, l), c in crs_class(lam).expansion.items()),
-                     DPoly())
-        assert hilbert_degree(lam) == at_one / D ** lam.codim, lam
+        assert universal_class(lam).poly.coefficient("xi", lam.codim) == hilbert_degree(lam), lam
 
 
 def test_hilbert_degrees():
