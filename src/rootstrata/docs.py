@@ -8,10 +8,9 @@ are ascending in d starting at the constant term.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .crs import as_partition, crs_class
-from .dpoly import DPoly
+from .dpoly import monomial, render
 from .flagcalc import flex_point_locus_class, incidence_class
 from .partitions import validate_stratum
 from .plucker import (asymptotic_plucker, hyperflex_count, lines_on_hypersurface,
@@ -20,99 +19,64 @@ from .schur import schur_to_chern
 from .universal import pencil_locus_class, universal_class
 
 
-def num_str(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(int(x))
-
-
-def dpoly_coeffs(p):
-    if not p:
-        return ["0"]
-    return [num_str(c) for c in p.coeffs]
-
-
 def _poly_entry(names, exps, coeff, at):
     row = dict(zip(names, exps))
     if at is None:
-        row["coeffs_d"] = dpoly_coeffs(coeff)
+        row["coeffs_d"] = coeff.spelled() or ["0"]
     else:
-        row["value"] = num_str(coeff(at))
+        row["value"] = str(coeff(at))
     return row
+
+
+def _term_entries(poly, names, at):
+    """One entry per term of poly, keyed by the exponents of the named variables."""
+    entries = []
+    for e, c in poly.sorted_terms():
+        exps = dict(zip(poly.variables, e))
+        entries.append(_poly_entry(names, [exps.get(n, 0) for n in names], c, at))
+    return entries
+
+
+def _stratum_doc(command, lam, entries, at, **fields):
+    """The header every stratum document shares; fields add to or override it."""
+    return {"command": command, "partition": list(lam.parts), "codim": lam.codim,
+            "d": "symbolic" if at is None else at, "notes": [], "entries": entries,
+            **fields}
 
 
 def class_document(lam, basis="schur", at=None):
     lam = as_partition(lam)
     cls = crs_class(lam)
-    doc = {
-        "command": "class",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "d": "symbolic" if at is None else at,
-        "basis": basis,
-        "notes": [],
-    }
     if basis == "schur":
         entries = [_poly_entry(("k", "l"), kl, c, at) for kl, c in cls.expansion.items()]
     elif basis == "chern":
-        poly = schur_to_chern(cls.expansion)
-        entries = [_poly_entry(("c1", "c2"), _exps(poly, ("c1", "c2"), e), c, at)
-                   for e, c in poly.sorted_terms()]
+        entries = _term_entries(schur_to_chern(cls.expansion), ("c1", "c2"), at)
     elif basis == "roots":
-        poly = cls.to_roots()
-        entries = [_poly_entry(("a", "b"), _exps(poly, ("a", "b"), e), c, at)
-                   for e, c in poly.sorted_terms()]
+        entries = _term_entries(cls.to_roots(), ("a", "b"), at)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    doc["entries"] = entries
-    return doc
-
-
-def _exps(poly, names, e):
-    """Exponents of the named variables inside one term of poly."""
-    lookup = dict(zip(poly.variables, e))
-    return tuple(lookup.get(n, 0) for n in names)
+    return _stratum_doc("class", lam, entries, at, basis=basis)
 
 
 def plucker_document(lam, at=None):
     lam = as_partition(lam)
     table = plucker_table(lam)
-    return {
-        "command": "plucker",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "d": "symbolic" if at is None else at,
-        "notes": [],
-        "entries": [_poly_entry(("i",), (i,), p, at) for i, p in table],
-    }
+    return _stratum_doc("plucker", lam, [_poly_entry(("i",), (i,), p, at) for i, p in table], at)
 
 
 def asymptotic_document(lam):
     lam = as_partition(lam)
     table = asymptotic_plucker(lam)
-    return {
-        "command": "asymptotic",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "d": "limit",
-        "notes": [],
-        "entries": [{"i": i, "value": num_str(c)} for i, c in table],
-    }
+    return _stratum_doc("asymptotic", lam, [{"i": i, "value": str(c)} for i, c in table],
+                        None, d="limit")
 
 
 def flex_document(m, at=None):
-    validate_stratum(as_partition((m,)))
+    lam = validate_stratum(as_partition((m,)))
     entries = []
     for i in range((m - 1) // 2 + 1):
         entries.append(_poly_entry(("i",), (m - 1 - 2 * i,), mflex_polynomial(m, i), at))
-    return {
-        "command": "flex",
-        "partition": [m],
-        "codim": m - 1,
-        "d": "symbolic" if at is None else at,
-        "notes": ["closed-form coefficients"],
-        "entries": entries,
-    }
+    return _stratum_doc("flex", lam, entries, at, notes=["closed-form coefficients"])
 
 
 def hyperflex_document(n):
@@ -121,7 +85,7 @@ def hyperflex_document(n):
         "n": n,
         "d": 2 * n - 3,
         "notes": [],
-        "value": num_str(hyperflex_count(n)),
+        "value": str(hyperflex_count(n)),
     }
 
 
@@ -131,15 +95,8 @@ def lines_document(n):
         "n": n,
         "d": 2 * n - 3,
         "notes": [],
-        "value": num_str(lines_on_hypersurface(n)),
+        "value": str(lines_on_hypersurface(n)),
     }
-
-
-def _flag_entries(poly, names, at):
-    entries = []
-    for e, c in poly.sorted_terms():
-        entries.append(_poly_entry(names, _exps(poly, names, e), c, at))
-    return entries
 
 
 def incidence_document(lam, m, basis="zeta-eta", at=None):
@@ -151,65 +108,27 @@ def incidence_document(lam, m, basis="zeta-eta", at=None):
         poly, names = inc.in_zeta_sigma(), ("zeta", "sigma1")
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return {
-        "command": "incidence",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "m": m,
-        "d": "symbolic" if at is None else at,
-        "basis": basis,
-        "notes": [],
-        "entries": _flag_entries(poly, names, at),
-    }
+    return _stratum_doc("incidence", lam, _term_entries(poly, names, at), at, m=m, basis=basis)
 
 
 def flexlocus_document(lam, m, n, at=None):
     lam = as_partition(lam)
     locus = flex_point_locus_class(lam, m, n)
-    return {
-        "command": "flexlocus",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "m": m,
-        "n": n,
-        "d": "symbolic" if at is None else at,
-        "notes": [],
-        "entries": _flag_entries(locus.poly, ("zeta",), at),
-    }
+    return _stratum_doc("flexlocus", lam, _term_entries(locus.poly, ("zeta",), at), at, m=m, n=n)
 
 
 def universal_document(lam, at=None):
     lam = as_partition(lam)
     u = universal_class(lam)
-    entries = []
-    for t in range(lam.codim + 1):
-        for kl, c in u.xi_slice(t).items():
-            row = _poly_entry(("k", "l"), kl, c, at)
-            row["xi"] = t
-            entries.append(row)
-    return {
-        "command": "universal",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "d": "symbolic" if at is None else at,
-        "notes": [],
-        "entries": entries,
-    }
+    entries = [_poly_entry(("k", "l", "xi"), (*kl, t), c, at)
+               for t in range(lam.codim + 1) for kl, c in u.xi_slice(t).items()]
+    return _stratum_doc("universal", lam, entries, at)
 
 
 def pencil_document(lam, m, n, at=None):
     lam = as_partition(lam)
     locus = pencil_locus_class(lam, m, n)
-    return {
-        "command": "pencil",
-        "partition": list(lam.parts),
-        "codim": lam.codim,
-        "m": m,
-        "n": n,
-        "d": "symbolic" if at is None else at,
-        "notes": [],
-        "entries": _flag_entries(locus.poly, ("zeta",), at),
-    }
+    return _stratum_doc("pencil", lam, _term_entries(locus.poly, ("zeta",), at), at, m=m, n=n)
 
 
 def emit_json(doc):
@@ -218,11 +137,6 @@ def emit_json(doc):
 
 def parse_json(text):
     return json.loads(text)
-
-
-def _coeffs_str(coeffs):
-    poly = DPoly(Fraction(c) for c in coeffs)
-    return str(poly)
 
 
 def emit_text(doc):
@@ -271,17 +185,15 @@ def _entry_label(row, basis):
     if basis == "schur":
         return f"s_{{{row['k']},{row['l']}}}"
     if basis == "chern":
-        return _mono_label(row, ("c1", "c2")) or "1"
-    return _mono_label(row, ("a", "b")) or "1"
+        return _mono_label(row, ("c1", "c2"))
+    return _mono_label(row, ("a", "b"))
 
 
 def _mono_label(row, names):
-    return "*".join(
-        n if row[n] == 1 else f"{n}^{row[n]}"
-        for n in names if row.get(n, 0)) or "1"
+    return monomial((n, row.get(n, 0)) for n in names) or "1"
 
 
 def _value_str(row):
     if "value" in row:
         return row["value"]
-    return _coeffs_str(row["coeffs_d"])
+    return render(row["coeffs_d"])

@@ -152,6 +152,9 @@ class DPoly:
         return self._den == den and self._nums == ((num,) if num else ())
 
     def __hash__(self):
+        # a constant hashes as the scalar it equals
+        if len(self._nums) <= 1:
+            return hash(self.constant_term())
         return hash((self._nums, self._den))
 
     def __neg__(self):
@@ -305,31 +308,51 @@ class DPoly:
 
     __divmod__ = divmod
 
-    def __str__(self):
-        coeffs = self.coeffs
-        if not coeffs:
-            return "0"
-        parts = []
-        for e in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[e]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "d" if e == 1 else f"d^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = first_body if first_sign == "+" else "-" + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
+    def spelled(self):
+        """Ascending coefficients as strings, spelled as str(Fraction) spells them."""
+        den = self._den
+        if den == 1:
+            return [str(x) for x in self._nums]
+        out = []
+        for x in self._nums:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
         return out
+
+    def __str__(self):
+        return render(self.spelled())
 
     def __repr__(self):
         return f"DPoly({self})"
+
+
+def joined(terms):
+    """Text of a signed sum of (coefficient, monomial) string pairs.
+
+    A leading "-" of a coefficient becomes the sign of its term, a
+    coefficient "1" before a monomial is left out, and no terms is "0".
+    """
+    out = []
+    for coef, mono in terms:
+        sign, body = ("-", coef[1:]) if coef[0] == "-" else ("+", coef)
+        if mono:
+            body = mono if body == "1" else f"{body}*{mono}"
+        out.append((sign, body))
+    if not out:
+        return "0"
+    text = out[0][1] if out[0][0] == "+" else "-" + out[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in out[1:])
+
+
+def monomial(pairs):
+    """Text like x^2*y of (name, exponent) pairs; zero exponents drop, all zero is ""."""
+    return "*".join(v if k == 1 else f"{v}^{k}" for v, k in pairs if k)
+
+
+def render(spelled):
+    """The descending "c*d^e - ..." text of ascending coefficient strings."""
+    return joined((spelled[e], monomial((("d", e),)))
+                  for e in range(len(spelled) - 1, -1, -1) if spelled[e] != "0")
 
 
 D = DPoly((0, 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, index
 
-from .dpoly import DPoly, _as_fraction
+from .dpoly import DPoly, _as_fraction, joined, monomial
 from .errors import PolynomialityViolation, ZeroDenominator
 
 VAR_ORDER = ("a", "b", "c1", "c2", "d", "zeta", "eta", "sigma1", "xi")
@@ -281,30 +281,8 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.variables, e) if k)
-            sign = "+"
-            if c.degree <= 0:
-                c = c.constant_term()
-                if c < 0:
-                    sign, c = "-", -c
-                coef = str(c)
-            else:
-                coef = f"({c})"
-            if mono:
-                body = mono if coef == "1" else f"{coef}*{mono}"
-            else:
-                body = coef
-            pieces.append((sign, body))
-        out = pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return joined((c.spelled()[0] if c.degree <= 0 else f"({c})",
+                       monomial(zip(self.variables, e))) for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self})"

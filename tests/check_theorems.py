@@ -1,0 +1,58 @@
+"""Check the paper's theorems on every stratum up to a weight.
+
+Usage: PYTHONPATH=src python tests/check_theorems.py <max_weight>
+
+For every stratum of weight w <= max_weight: degree_table's drop rule
+holds, each leading d-coefficient of the Pluecker table is the Kostka
+value asymptotic_plucker gives (0 where the degree drops), and the table
+takes integer values at d = w, w + 1 and 2w + 3.  The first failure
+exits 1 with one line; a pass prints the number of strata checked.
+The file is named so that pytest does not collect it.
+"""
+
+import sys
+
+from rootstrata.errors import RootStrataError
+from rootstrata.partitions import stratum_partitions
+from rootstrata.plucker import asymptotic_plucker, degree_table, plucker_table
+
+
+def failure(lam):
+    """One line naming the first theorem lam breaks, or None."""
+    try:
+        degree_table(lam)
+    except RootStrataError as exc:
+        return f"{lam}: {type(exc).__name__}: {exc}"
+    table = plucker_table(lam)
+    w = lam.weight
+    for i, value in asymptotic_plucker(lam):
+        p = table.polynomial(i)
+        top = p.leading() if p.degree == w else 0
+        if top != value:
+            return f"{lam}: leading d^{w} coefficient of Pl_{i} is {top}, not {value}"
+    for d0 in (w, w + 1, 2 * w + 3):
+        for i, v in table.evaluate(d0):
+            if v.denominator != 1:
+                return f"{lam}: Pl_{i} at d={d0} is {v}, not an integer"
+    return None
+
+
+def main(argv):
+    if len(argv) != 1 or not argv[0].isdigit():
+        print("usage: check_theorems.py <max_weight>", file=sys.stderr)
+        return 2
+    max_weight = int(argv[0])
+    count = 0
+    for w in range(max_weight + 1):
+        for lam in stratum_partitions(w):
+            line = failure(lam)
+            if line:
+                print(f"FAIL {line}")
+                return 1
+            count += 1
+    print(f"ok: {count} strata of weight <= {max_weight}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

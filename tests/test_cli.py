@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 
 from rootstrata import docs
 from rootstrata.cli import main
+from rootstrata.crs import crs_class
+from rootstrata.dpoly import DPoly
 from rootstrata.errors import InvalidPartition
-from rootstrata.partitions import Partition
+from rootstrata.multipoly import MultiPoly
+from rootstrata.partitions import Partition, stratum_partitions
+from rootstrata.plucker import plucker_table
 
 
 def run(capsys, *argv):
@@ -163,6 +168,57 @@ def test_json_round_trip_through_the_emitters():
                 docs.incidence_document((2, 2), 2),
                 docs.pencil_document((2, 2), 2, 3)):
         assert docs.parse_json(docs.emit_json(doc)) == doc
+
+
+def documents(max_weight):
+    """Every document of every command on the strata of weight <= max_weight."""
+    for w in range(max_weight + 1):
+        for lam in stratum_partitions(w):
+            for basis in ("schur", "chern", "roots"):
+                yield docs.class_document(lam, basis)
+            yield docs.plucker_document(lam)
+            yield docs.asymptotic_document(lam)
+            yield docs.universal_document(lam)
+            for m in sorted(set(lam.parts)):
+                for basis in ("zeta-eta", "zeta-sigma"):
+                    yield docs.incidence_document(lam, m, basis)
+                yield docs.flexlocus_document(lam, m, 4)
+                yield docs.pencil_document(lam, m, 4)
+        if w >= 2:
+            yield docs.flex_document(w)
+    yield docs.hyperflex_document(5)
+    yield docs.lines_document(5)
+
+
+def test_text_values_match_the_fraction_spelling():
+    """The text of each coefficient array is what a DPoly rebuilt from it prints."""
+    rows = 0
+    for doc in documents(8):
+        for row in doc.get("entries", ()):
+            if "coeffs_d" in row:
+                want = str(DPoly(Fraction(c) for c in row["coeffs_d"]))
+                assert docs._value_str(row) == want, (doc["command"], row)
+                rows += 1
+    assert rows > 800
+
+
+def test_outputs_never_read_fraction_coefficients(monkeypatch):
+    cls = crs_class((3, 2, 2))
+    poly = MultiPoly(("a", "b"), {(1, 0): Fraction(-3, 2), (0, 1): DPoly((0, 2, -1))})
+    objects = [cls, cls.to_roots(), plucker_table((3, 2, 2)), poly]
+    built = [docs.class_document((3, 2), "chern"), docs.universal_document((3, 2)),
+             docs.incidence_document((3, 2), 2, "zeta-sigma")]
+    want = ([str(o) for o in objects],
+            [(docs.emit_text(d), docs.emit_json(d)) for d in built])
+
+    def refuse(self):
+        raise AssertionError("an output read DPoly.coeffs")
+
+    monkeypatch.setattr(DPoly, "coeffs", property(refuse))
+    built = [docs.class_document((3, 2), "chern"), docs.universal_document((3, 2)),
+             docs.incidence_document((3, 2), 2, "zeta-sigma")]
+    assert want == ([str(o) for o in objects],
+                    [(docs.emit_text(d), docs.emit_json(d)) for d in built])
 
 
 def test_module_entry_point():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootstrata.dpoly import D, DPoly, interpolate
@@ -240,11 +240,21 @@ def test_compose_and_call_match_fraction_reference(a, c, x, b):
 @settings(max_examples=60, deadline=None)
 def test_scalar_equality_and_hash(c, e):
     p = DPoly((c,))
-    assert p == c and (p == e) == (c == e)
+    assert p == c and (p == e) == (c == e) and hash(p) == hash(c)
     if c.denominator == 1:
         assert p == int(c)
     assert DPoly((c, 0, 0)) == p and hash(DPoly((c, 0, 0))) == hash(p)
     assert (p * D == c) == (c == 0)
+
+
+@given(coeff_lists)
+@example([0, -3, 7, 0, 1])
+@example([Fraction(-7, 2), 0, 5, Fraction(4, 6)])
+@example([0])
+@settings(max_examples=80, deadline=None)
+def test_spelled_matches_str_of_each_fraction(a):
+    for p in (DPoly(a), -DPoly(a), DPoly(a) * 6):
+        assert p.spelled() == [str(c) for c in p.coeffs]
 
 
 def test_canonical_form():

@@ -225,11 +225,11 @@ small_dpolys = st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: DPoly(tup
 
 
 @st.composite
-def d_polys(draw):
+def d_polys(draw, scalars=small_dpolys):
     """Small polynomials in some of a, b, xi with DPoly scalars, zeros included."""
     names = draw(st.lists(st.sampled_from(("xi", "b", "a")), max_size=3, unique=True))
     monos = st.tuples(*[st.integers(0, 2)] * len(names))
-    return MultiPoly(names, draw(st.dictionaries(monos, small_dpolys, max_size=5)))
+    return MultiPoly(names, draw(st.dictionaries(monos, scalars, max_size=5)))
 
 
 def assert_canonical(r):
@@ -257,6 +257,44 @@ def test_every_result_is_canonical(p, q, c, k, schur):
         results.append(p * c / c)
     for r in results:
         assert_canonical(r)
+
+
+def fraction_str(p):
+    """MultiPoly.__str__ as spelled through one Fraction per constant coefficient."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for e, c in p.sorted_terms():
+        mono = "*".join(
+            v if k == 1 else f"{v}^{k}"
+            for v, k in zip(p.variables, e) if k)
+        sign = "+"
+        if c.degree <= 0:
+            c = c.constant_term()
+            if c < 0:
+                sign, c = "-", -c
+            coef = str(c)
+        else:
+            coef = f"({c})"
+        if mono:
+            body = mono if coef == "1" else f"{coef}*{mono}"
+        else:
+            body = coef
+        pieces.append((sign, body))
+    out = pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+mixed_scalars = st.one_of(coeffs, st.lists(coeffs, max_size=3).map(DPoly))
+
+
+@given(d_polys(mixed_scalars))
+@settings(max_examples=80, deadline=None)
+def test_str_matches_the_fraction_reference(p):
+    assert str(p) == fraction_str(p)
+    assert str(-p) == fraction_str(-p)
 
 
 def test_the_two_forms_of_d_do_not_mix():

@@ -1,6 +1,10 @@
 """Tangent-line counts, their degrees, asymptotics, and closed forms."""
 
+import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,26 @@ def test_salmon_quadritangent_count():
         assert crs_class_at((2, 2, 2, 2), d0).coefficient(2, 2) == salmon(d0)
     # zero for degrees 4 to 7; 8*4*3*2*1*922/12 quadritangents on an octic
     assert [salmon(d) for d in range(4, 9)] == [0, 0, 0, 0, 14752]
+
+
+CHECK_THEOREMS = Path(__file__).with_name("check_theorems.py")
+
+
+def test_theorem_check_passes_at_weight_10():
+    proc = subprocess.run([sys.executable, str(CHECK_THEOREMS), "10"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "ok: 42 strata of weight <= 10\n", "")
+
+
+def test_theorem_check_reports_a_wrong_leading_term_in_one_line(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("check_theorems", CHECK_THEOREMS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    def off_by_one_at_weight_6(lam):
+        return [(i, v + (lam.weight == 6)) for i, v in asymptotic_plucker(lam)]
+
+    monkeypatch.setattr(script, "asymptotic_plucker", off_by_one_at_weight_6)
+    assert script.main(["8"]) == 1
+    out = capsys.readouterr().out
+    assert out == "FAIL (6): leading d^6 coefficient of Pl_5 is 1, not 2\n"
