@@ -40,14 +40,6 @@ _A = MultiPoly.variable("a")
 _B = MultiPoly.variable("b")
 
 
-def as_partition(x):
-    if isinstance(x, Partition):
-        return x
-    if isinstance(x, str):
-        return Partition.parse(x)
-    return Partition(x)
-
-
 class CRSClass:
     """Schur expansion of one stratum class, coefficients polynomial in d."""
 
@@ -115,7 +107,7 @@ def weighted_product(m):
 
 def crs_class(lam):
     """Class of the closed stratum, memoized on the sorted partition."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     return _crs_cached(lam.parts)
 
 
@@ -137,7 +129,7 @@ def crs_class_peeled(lam, m):
 
     Row i of the smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
     """
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     if m not in lam.parts:
         raise InvalidPartition(f"{m} is not a part of {lam}")
     cls = crs_class(lam.remove_one(m))
@@ -232,7 +224,7 @@ def _peel(lam, m, x=_A, y=_B):
 
 def crs_class_at(lam, d0):
     """The same recursion with d frozen at the integer d0; pure, no cache."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     d0 = index(d0)
     if d0 < lam.weight:
         raise DegreeTooSmall(
@@ -253,7 +245,7 @@ def crs_class_at(lam, d0):
 
 def crs_m_closed(m):
     """Single-part stratum class straight from one divided difference."""
-    lam = validate_stratum(Partition((m,)))
+    lam = validate_stratum((m,))
     expansion = schur_expand(divided_difference(_euler_factor(m)))
     return CRSClass(lam, expansion)
 
@@ -274,6 +266,6 @@ def euler_identity_check(d0):
 
 def leading_term(lam):
     """Top d-coefficient of the class: h of the reduction over multiplicities."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     exp = complete_h_expand(lam.reduction().parts)
     return exp * Fraction(1, lam.multiplicity_factorial())

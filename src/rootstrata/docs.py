@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .crs import as_partition, crs_class
+from .crs import crs_class
 from .dpoly import monomial, render
 from .flagcalc import flex_point_locus_class, incidence_class
 from .partitions import validate_stratum
@@ -45,7 +45,7 @@ def _stratum_doc(command, lam, entries, at, **fields):
 
 
 def class_document(lam, basis="schur", at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     cls = crs_class(lam)
     if basis == "schur":
         entries = [_poly_entry(("k", "l"), kl, c, at) for kl, c in cls.expansion.items()]
@@ -59,48 +59,41 @@ def class_document(lam, basis="schur", at=None):
 
 
 def plucker_document(lam, at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     table = plucker_table(lam)
     return _stratum_doc("plucker", lam, [_poly_entry(("i",), (i,), p, at) for i, p in table], at)
 
 
 def asymptotic_document(lam):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     table = asymptotic_plucker(lam)
     return _stratum_doc("asymptotic", lam, [{"i": i, "value": str(c)} for i, c in table],
                         None, d="limit")
 
 
 def flex_document(m, at=None):
-    lam = validate_stratum(as_partition((m,)))
+    lam = validate_stratum((m,))
     entries = []
     for i in range((m - 1) // 2 + 1):
         entries.append(_poly_entry(("i",), (m - 1 - 2 * i,), mflex_polynomial(m, i), at))
     return _stratum_doc("flex", lam, entries, at, notes=["closed-form coefficients"])
 
 
+def _closed_form_doc(command, n, value):
+    """The header of the two counts on a degree-(2n-3) hypersurface in P^(n-1)."""
+    return {"command": command, "n": n, "d": 2 * n - 3, "notes": [], "value": str(value)}
+
+
 def hyperflex_document(n):
-    return {
-        "command": "hyperflex",
-        "n": n,
-        "d": 2 * n - 3,
-        "notes": [],
-        "value": str(hyperflex_count(n)),
-    }
+    return _closed_form_doc("hyperflex", n, hyperflex_count(n))
 
 
 def lines_document(n):
-    return {
-        "command": "lines",
-        "n": n,
-        "d": 2 * n - 3,
-        "notes": [],
-        "value": str(lines_on_hypersurface(n)),
-    }
+    return _closed_form_doc("lines", n, lines_on_hypersurface(n))
 
 
 def incidence_document(lam, m, basis="zeta-eta", at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     inc = incidence_class(lam, m)
     if basis == "zeta-eta":
         poly, names = inc.poly, ("zeta", "eta")
@@ -112,13 +105,13 @@ def incidence_document(lam, m, basis="zeta-eta", at=None):
 
 
 def flexlocus_document(lam, m, n, at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     locus = flex_point_locus_class(lam, m, n)
     return _stratum_doc("flexlocus", lam, _term_entries(locus.poly, ("zeta",), at), at, m=m, n=n)
 
 
 def universal_document(lam, at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     u = universal_class(lam)
     entries = [_poly_entry(("k", "l", "xi"), (*kl, t), c, at)
                for t in range(lam.codim + 1) for kl, c in u.xi_slice(t).items()]
@@ -126,9 +119,17 @@ def universal_document(lam, at=None):
 
 
 def pencil_document(lam, m, n, at=None):
-    lam = as_partition(lam)
+    lam = validate_stratum(lam)
     locus = pencil_locus_class(lam, m, n)
     return _stratum_doc("pencil", lam, _term_entries(locus.poly, ("zeta",), at), at, m=m, n=n)
+
+
+def selftest_document():
+    from . import golden  # golden imports this module
+
+    checks = [{"name": name, "ok": ok, "detail": detail or ""}
+              for name, ok, detail in golden.run_all()]
+    return {"command": "selftest", "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 def emit_json(doc):
@@ -141,6 +142,11 @@ def parse_json(text):
 
 def emit_text(doc):
     cmd = doc["command"]
+    if cmd == "selftest":
+        checks = doc["checks"]
+        lines = [f"ok      {c['name']}" if c["ok"] else f"FAIL    {c['name']}: {c['detail']}"
+                 for c in checks]
+        return "\n".join(lines + [f"{sum(c['ok'] for c in checks)}/{len(checks)} checks pass"])
     lines = []
     if cmd in ("hyperflex", "lines"):
         head = "hyperflexes of" if cmd == "hyperflex" else "lines on"

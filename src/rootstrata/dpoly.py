@@ -63,17 +63,19 @@ def taylor_shift(nums, c):
     return a
 
 
-def divmod_monic(nums, b):
-    """Integer quotient and remainder lists of nums by the monic list b.
+def pseudo_divmod(nums, b):
+    """Integer quotient and remainder lists of lead**k * nums by the list b.
 
+    lead is b[-1] and k = len(nums) - len(b) + 1, the length of the
+    quotient, so every step divides by lead exactly; a monic b scales nothing.
     nums must be at least as long as b; the remainder has len(b) - 1 entries.
     """
-    rem = list(nums)
-    nb = len(b) - 1
-    dq = len(rem) - 1 - nb
+    lead, nb = b[-1], len(b) - 1
+    dq = len(nums) - 1 - nb
+    rem = list(nums) if lead == 1 else [x * lead ** (dq + 1) for x in nums]
     quot = [0] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = rem[k + nb]
+        c = rem[k + nb] if lead == 1 else rem[k + nb] // lead
         quot[k] = c
         if c:
             for j in range(nb):
@@ -277,34 +279,24 @@ class DPoly:
         return _raw(tuple(taylor_shift(self._nums, c)), self._den)
 
     def divmod(self, other):
-        """Exact quotient and remainder over Q; an int or Fraction is a constant."""
+        """Exact quotient and remainder over Q; an int or Fraction is a constant.
+
+        By integer pseudo-division: with self = nums / den and other = b / e,
+        lead**k * nums = quot * b + rem makes the quotient quot * e / (lead**k * den)
+        and the remainder rem / (lead**k * den).
+        """
         if not isinstance(other, DPoly):
             other = DPoly.constant(other)
         if not other:
             raise ZeroDenominator("polynomial division by zero")
-        if other._den == 1 and other._nums[-1] == 1:
-            return self._divmod_monic(other._nums)
-        rem = list(self.coeffs)
-        divisor = other.coeffs
-        dq = len(rem) - len(divisor)
-        if dq < 0:
-            return DPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = divisor[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, oc in enumerate(divisor):
-                    rem[k + j] -= c * oc
-        return DPoly(quot), DPoly(rem)
-
-    def _divmod_monic(self, b):
-        """divmod by the monic integer polynomial with coefficients b."""
+        b = other._nums
         if len(self._nums) < len(b):
             return DPoly(), self
-        quot, rem = divmod_monic(self._nums, b)
-        return _canonical(quot, self._den), _canonical(rem, self._den)
+        quot, rem = pseudo_divmod(self._nums, b)
+        den = self._den * b[-1] ** len(quot)
+        if other._den != 1:
+            quot = [x * other._den for x in quot]
+        return _canonical(quot, den), _canonical(rem, den)
 
     __divmod__ = divmod
 

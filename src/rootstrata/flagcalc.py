@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crs import as_partition, _peel
+from .crs import _peel
 from .dpoly import ZERO
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
@@ -149,7 +149,7 @@ def incidence_class(lam, m):
     m/(d-m) in the eta direction, and the Euler factor of the quotient
     multiplies in.
     """
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     return FlagClass(_peel(lam, m, _ETA, _ZETA))
 
 
@@ -159,7 +159,7 @@ def tangency_class_resolution(lam, n, peel=None):
     Must agree with crs_class up to the ambient truncation; peel picks
     which part to split off (largest by default).
     """
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     if not lam:
         return GrassClass(SchurExpansion({(0, 0): 1}), n)
     m = peel if peel is not None else lam.largest

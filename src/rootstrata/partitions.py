@@ -133,7 +133,12 @@ class Partition:
 
 
 def validate_stratum(lam):
-    """Coincidence patterns need every part to be at least 2."""
+    """The Partition of lam (a Partition, text like '3,2,2' or parts), every part >= 2.
+
+    Coincidence patterns need every part to be at least 2.
+    """
+    if not isinstance(lam, Partition):
+        lam = Partition.parse(lam) if isinstance(lam, str) else Partition(lam)
     if any(p < 2 for p in lam):
         raise InvalidPartition(f"stratum partition needs parts >= 2, got {lam}")
     return lam

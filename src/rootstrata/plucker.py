@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 from .combinat import kostka, stirling_first
-from .crs import as_partition, crs_class, euler_pol
+from .crs import crs_class, euler_pol
 from .dpoly import D, DPoly
 from .errors import DegreeMismatch, OutOfRange, PolynomialityViolation
 from .partitions import MAX_WEIGHT, Partition, validate_stratum
@@ -73,7 +73,7 @@ class AsymptoticTable:
 
 def plucker_table(lam):
     """All counting polynomials of a pattern, read off the stratum class."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     cls = crs_class(lam)
     codim = lam.codim
     entries = []
@@ -84,7 +84,7 @@ def plucker_table(lam):
 
 def plucker_point(lam):
     """Lines of the pattern through a generic point: a falling factorial."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     poly = DPoly((1,))
     for i in range(lam.weight):
         poly = poly * (D - i)
@@ -98,7 +98,7 @@ def degree_table(lam):
     that each step of j loses one.  A mismatch with the computed table
     raises DegreeMismatch.
     """
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     table = plucker_table(lam)
     codim, top = lam.codim, lam.largest
     out = []
@@ -115,7 +115,7 @@ def degree_table(lam):
 
 def asymptotic_plucker(lam):
     """Limits of Pl / d^{|lam|}: Kostka numbers over multiplicities."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     codim = lam.codim
     nu = lam.reduction().parts
     scale = Fraction(1, lam.multiplicity_factorial())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import index
 from types import MappingProxyType
 
-from .dpoly import ZERO
+from .dpoly import ZERO, joined
 from .errors import NotSymmetric
 from .multipoly import MultiPoly, _as_dpoly, _build, _ordered, _widen, as_multipoly
 
@@ -103,17 +103,8 @@ class SchurExpansion:
                               for t in range(k - l + 1)])
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (k, l), c in self.items():
-            base = f"s_{{{k},{l}}}" if (k, l) != (0, 0) else ""
-            coef = str(c) if c.degree <= 0 else f"({c})"
-            if base:
-                bits.append(base if coef == "1" else f"{coef}*{base}")
-            else:
-                bits.append(coef)
-        return " + ".join(bits)
+        return joined((c.spelled()[0] if c.degree <= 0 else f"({c})",
+                       f"s_{{{k},{l}}}" if (k, l) != (0, 0) else "") for (k, l), c in self.items())
 
     def __repr__(self):
         return f"SchurExpansion({self})"

@@ -8,7 +8,7 @@ that one shift, on the roots (a, b) and on the flag roots (eta, zeta).
 
 from __future__ import annotations
 
-from .crs import as_partition, crs_class
+from .crs import crs_class
 from .dpoly import D, DPoly
 from .flagcalc import FlagClass, incidence_class, q_push
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
@@ -70,7 +70,7 @@ class UniversalClass:
 
 def universal_class(lam):
     """Stratum class of the family twisted by the moduli hyperplane class."""
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     return UniversalClass(lam, _shift_roots(crs_class(lam).to_roots(), "a", "b"))
 
 
@@ -79,7 +79,7 @@ def hilbert_degree(lam):
 
     The top xi slice: the class at a = b = 1, where s_{k,l} is k - l + 1, over D**codim.
     """
-    lam = validate_stratum(as_partition(lam))
+    lam = validate_stratum(lam)
     at_one = sum((c * (k - l + 1) for (k, l), c in crs_class(lam).expansion.items()),
                  DPoly())
     return at_one / D ** lam.codim

@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, JSON schema, exit codes."""
 
+import inspect
 import io
 import json
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rootstrata import docs
-from rootstrata.cli import main
+from rootstrata import docs, golden
+from rootstrata.cli import build_parser, main
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import DPoly
 from rootstrata.errors import InvalidPartition
@@ -282,6 +283,52 @@ ACCEPTS = {
 REQUIRED = ("--m", "--n")
 BASES = {"class": ["schur", "chern", "roots", "weird"],
          "incidence": ["zeta-eta", "zeta-sigma", "weird"]}
+
+def _subcommands():
+    """{name: subparser} of the CLI's parser."""
+    actions = build_parser()._subparsers._group_actions
+    return dict(actions[0].choices)
+
+
+def test_parser_matches_the_fuzz_model():
+    """The subcommands, their options and the required ones are what the fuzz draws."""
+    subs = _subcommands()
+    assert set(subs) == set(ACCEPTS)
+    for name, sub in subs.items():
+        options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        positional = [a.dest for a in sub._actions if not a.option_strings]
+        assert {a.option_strings[0] for a in options} == set(ACCEPTS[name]), name
+        assert {a.option_strings[0] for a in options if a.required} == (
+            set(ACCEPTS[name]) & set(REQUIRED)), name
+        want = ["partition"] if name in PARTITION_COMMANDS else ["m"] if name == "flex" else []
+        assert positional == want, name
+        for a in options:
+            if a.dest == "basis":
+                assert list(a.choices) == [b for b in BASES[name] if b != "weird"]
+
+
+def test_every_subcommand_resolves_to_its_document_builder():
+    """docs.<name>_document takes exactly the fields the subcommand parses."""
+    for name, sub in _subcommands().items():
+        fields = {a.dest for a in sub._actions if a.dest not in ("help", "json")}
+        fields = {"lam" if f == "partition" else f for f in fields}
+        builder = getattr(docs, f"{name}_document")
+        assert set(inspect.signature(builder).parameters) == fields, name
+
+
+def test_selftest_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(golden.HYPERFLEX_GOLDEN, 5, 99716)
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "FAIL    hyperflex-counts: n=5: got 99715" in lines
+    assert lines[-1] == "37/38 checks pass"
+    assert sum(ln.startswith("ok      ") for ln in lines) == 37
+    code, out, err = run(capsys, "selftest", "--json")
+    doc = json.loads(out)
+    assert (code, err, doc["ok"]) == (1, "", False)
+    assert [c["name"] for c in doc["checks"] if not c["ok"]] == ["hyperflex-counts"]
+
 
 _ints = st.one_of(st.integers(-3, 12), st.integers(-10**6, 10**6)).map(str)
 _tokens = st.one_of(

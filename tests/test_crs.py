@@ -1,8 +1,11 @@
 """Stratum classes: recursion, twists, peel order, and specializations."""
 
+import importlib.util
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from rootstrata.crs import (CRSClass, _level, _pack, _peel, _schur_readout,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
 from rootstrata.dpoly import (D, DPoly, _canonical, common_numerators,
-                              divmod_monic, interpolate, taylor_shift)
+                              interpolate, pseudo_divmod, taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition, stratum_partitions
@@ -264,7 +267,7 @@ def list_twist_row(row, m):
         for j in range(i + 1):
             scale = comb(n - j, i - j) * m ** (i - j)
             acc[j:j + width] = [x + scale * y for x, y in zip(acc[j:j + width], row[j])]
-        quot, rem = divmod_monic(acc, divisor)
+        quot, rem = pseudo_divmod(acc, divisor)
         if any(rem):
             raise PolynomialityViolation(f"(d - {m})**{i} leaves a remainder")
         out.append(quot)
@@ -350,3 +353,41 @@ def test_packed_level_matches_the_list_kernel(n, m, den, data):
             _level(rows, m, den)
     else:
         assert _level(rows, m, den) == want
+
+
+CHECK_ROUTES = Path(__file__).with_name("check_routes.py")
+
+
+def test_route_check_passes_at_weight_6():
+    proc = subprocess.run([sys.executable, str(CHECK_ROUTES), "6"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "ok: 11 strata of weight <= 6\n", "")
+
+
+def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("check_routes", CHECK_ROUTES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    resolve = script.tangency_class_resolution
+
+    def doubled_at_weight_4(lam, n):
+        cls = resolve(lam, n)
+        if lam.weight == 4:
+            cls.expansion = cls.expansion * 2
+        return cls
+
+    monkeypatch.setattr(script, "tangency_class_resolution", doubled_at_weight_4)
+    assert script.main(["6"]) == 1
+    symbolic = crs_class((4,)).expansion
+    assert capsys.readouterr().out == (
+        f"FAIL (4): resolution route gives {symbolic * 2}, symbolic {symbolic}\n")
+
+    def doubled_at_weight_3(lam, d0):
+        return crs_class_at(lam, d0) * (2 if lam.weight == 3 else 1)
+
+    monkeypatch.setattr(script, "crs_class_at", doubled_at_weight_3)
+    assert script.main(["6"]) == 1
+    want = crs_class((3,)).coefficient(1, 1)
+    assert capsys.readouterr().out == (
+        f"FAIL (3): per-d route gives s_{{1,1}} = {want * 2}, symbolic {want}\n")

@@ -208,3 +208,11 @@ def test_expansion_evaluate_and_truncate():
     assert at.coefficient(2, 0) == 9 and at.coefficient(1, 1) == 2
     cut = e.truncate(1)
     assert cut.coefficient(2, 0) == 0 and cut.coefficient(1, 1) == D - 1
+
+
+def test_str_signs_each_term_as_multipoly_does():
+    e = SchurExpansion({(2, 0): 1, (1, 1): Fraction(-1, 2)})
+    assert str(e) == "s_{2,0} - 1/2*s_{1,1}"
+    e = SchurExpansion({(2, 0): -1, (1, 1): DPoly((0, -1, 1)), (0, 0): Fraction(-3, 4)})
+    assert str(e) == "-s_{2,0} + (d^2 - d)*s_{1,1} - 3/4"
+    assert str(SchurExpansion()) == "0"
