@@ -12,6 +12,7 @@ import json
 from .crs import crs_class
 from .dpoly import monomial, render
 from .flagcalc import flex_point_locus_class, incidence_class
+from .multipoly import VAR_ORDER
 from .partitions import validate_stratum
 from .plucker import (asymptotic_plucker, hyperflex_count, lines_on_hypersurface,
                       mflex_polynomial, plucker_table)
@@ -73,9 +74,8 @@ def asymptotic_document(lam):
 
 def flex_document(m, at=None):
     lam = validate_stratum((m,))
-    entries = []
-    for i in range((m - 1) // 2 + 1):
-        entries.append(_poly_entry(("i",), (m - 1 - 2 * i,), mflex_polynomial(m, i), at))
+    entries = [_poly_entry(("i",), (m - 1 - 2 * i,), mflex_polynomial(m, i), at)
+               for i in range((m - 1) // 2 + 1)]
     return _stratum_doc("flex", lam, entries, at, notes=["closed-form coefficients"])
 
 
@@ -147,56 +147,34 @@ def emit_text(doc):
         lines = [f"ok      {c['name']}" if c["ok"] else f"FAIL    {c['name']}: {c['detail']}"
                  for c in checks]
         return "\n".join(lines + [f"{sum(c['ok'] for c in checks)}/{len(checks)} checks pass"])
-    lines = []
-    if cmd in ("hyperflex", "lines"):
-        head = "hyperflexes of" if cmd == "hyperflex" else "lines on"
-        lines.append(f"{head} a generic degree-{doc['d']} hypersurface in P^{doc['n'] - 1}:")
-        lines.append(doc["value"])
-        return "\n".join(lines)
-    part = "(" + ",".join(str(p) for p in doc["partition"]) + ")"
-    at = "" if doc["d"] in ("symbolic", "limit") else f" at d={doc['d']}"
-    if cmd == "class":
-        lines.append(f"class {part} in basis {doc['basis']}{at}:")
-        for row in doc["entries"]:
-            label = _entry_label(row, doc["basis"])
-            lines.append(f"  {label}: {_value_str(row)}")
-    elif cmd in ("plucker", "flex"):
-        lines.append(f"tangent-line counts for {part}{at}:")
-        for row in doc["entries"]:
-            lines.append(f"  Pl_{{{part};{row['i']}}} = {_value_str(row)}")
-    elif cmd == "asymptotic":
-        lines.append(f"leading coefficients for {part}:")
-        for row in doc["entries"]:
-            lines.append(f"  apl_{{{part};{row['i']}}} = {row['value']}")
-    elif cmd == "incidence":
-        names = ("zeta", "eta") if doc["basis"] == "zeta-eta" else ("zeta", "sigma1")
-        lines.append(f"incidence class for {part}, peeled at m={doc['m']}{at}:")
-        for row in doc["entries"]:
-            lines.append(f"  {_mono_label(row, names)}: {_value_str(row)}")
-    elif cmd in ("flexlocus", "pencil"):
-        what = "tangency-point locus" if cmd == "flexlocus" else "pencil tangency-point locus"
-        lines.append(f"{what} for {part}, m={doc['m']}, ambient n={doc['n']}{at}:")
-        for row in doc["entries"]:
-            lines.append(f"  {_mono_label(row, ('zeta',))}: {_value_str(row)}")
-    elif cmd == "universal":
-        lines.append(f"universal class for {part}{at}:")
-        for row in doc["entries"]:
-            lines.append(f"  xi^{row['xi']} s_{{{row['k']},{row['l']}}}: {_value_str(row)}")
-    else:
+    labelled = "  {label}: {value}"
+    counts = ("tangent-line counts for {part}{at}:", "  Pl_{{{part};{i}}} = {value}")
+    locus = "tangency-point locus for {part}, m={m}, ambient n={n}{at}:"
+    closed = " a generic degree-{d} hypersurface in P^{dim}:\n{value}"
+    # command: (heading, row form), formatted with the document's fields and each row's
+    forms = {
+        "class": ("class {part} in basis {basis}{at}:", labelled),
+        "plucker": counts, "flex": counts,
+        "asymptotic": ("leading coefficients for {part}:", "  apl_{{{part};{i}}} = {value}"),
+        "incidence": ("incidence class for {part}, peeled at m={m}{at}:", labelled),
+        "flexlocus": (locus, labelled), "pencil": ("pencil " + locus, labelled),
+        "universal": ("universal class for {part}{at}:", "  xi^{xi} {label}: {value}"),
+        "hyperflex": ("hyperflexes of" + closed, None), "lines": ("lines on" + closed, None),
+    }
+    if cmd not in forms:
         raise ValueError(f"no text form for {cmd}")
+    heading, row_form = forms[cmd]
+    fields = {**doc, "part": "(" + ",".join(str(p) for p in doc.get("partition", ())) + ")",
+              "at": "" if doc["d"] in ("symbolic", "limit") else f" at d={doc['d']}",
+              "dim": doc.get("n", 1) - 1}  # a closed-form count lives in P^(n-1)
+    lines = [heading.format_map(fields)]
+    for row in doc.get("entries", ()):
+        # read by name in a fixed order, so a row parsed back from JSON prints the same
+        label = (f"s_{{{row['k']},{row['l']}}}" if "k" in row
+                 else monomial((v, row[v]) for v in VAR_ORDER if v in row) or "1")
+        lines.append(row_form.format_map({**fields, **row, "label": label,
+                                          "value": _value_str(row)}))
     return "\n".join(lines)
-
-
-def _entry_label(row, basis):
-    if basis == "schur":
-        return f"s_{{{row['k']},{row['l']}}}"
-    if basis == "chern":
-        return _mono_label(row, ("c1", "c2"))
-    return _mono_label(row, ("a", "b"))
-
-
-def _mono_label(row, names):
-    return monomial((n, row.get(n, 0)) for n in names) or "1"
 
 
 def _value_str(row):

@@ -154,18 +154,20 @@ def mflex_polynomial(m, i):
     _check_degree(m)
     if m < 2 * i + 1 or i < 0:
         raise OutOfRange(f"need m >= 2i+1, got m={m}, i={i}")
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(i, m):
-        coeffs[m - k] = Fraction(mflex_coefficient(m, i, k))
-    return DPoly(coeffs)
+    return DPoly([0] + [mflex_coefficient(m, i, m - e) for e in range(1, m - i + 1)])
+
+
+def _closed_form_degree(n):
+    """The degree d = 2n - 3 of the closed-form counts, for n >= 3 and d <= MAX_WEIGHT."""
+    if n < 3:
+        raise OutOfRange(f"the closed-form counts need ambient dimension n >= 3, got {n}")
+    _check_degree(2 * n - 3)
+    return 2 * n - 3
 
 
 def hyperflex_count(n):
     """Lines meeting a generic degree-(2n-3) hypersurface in a single point."""
-    if n < 3:
-        raise OutOfRange("hyperflexes need ambient dimension n >= 3")
-    d = 2 * n - 3
-    _check_degree(d)
+    d = _closed_form_degree(n)
     total = 0
     for u in range(1, n):
         total += (-1) ** (u + n + 1) * stirling_first(d, u) * comb(d - u + 1, n - 1) * d ** u
@@ -178,10 +180,7 @@ def lines_on_hypersurface(n):
     Computed independently of hyperflex_count, as the balanced Schur
     coefficient of the Euler class of the space of binary forms.
     """
-    if n < 3:
-        raise OutOfRange("the count needs ambient dimension n >= 3")
-    d = 2 * n - 3
-    _check_degree(d)
+    d = _closed_form_degree(n)
     c = schur_expand(euler_pol(d)).coefficient(n - 1, n - 1).constant_term()
     if c.denominator != 1:
         raise PolynomialityViolation(f"line count {c} is not an integer")
@@ -189,15 +188,8 @@ def lines_on_hypersurface(n):
 
 
 def zagier_lines(n):
-    """Closed form for the same line count, one extra factor of d per term."""
-    if n < 3:
-        raise OutOfRange("the count needs ambient dimension n >= 3")
-    d = 2 * n - 3
-    _check_degree(d)
-    total = 0
-    for u in range(1, n):
-        total += (-1) ** (u + n + 1) * stirling_first(d, u) * comb(d - u + 1, n - 1) * d ** (u + 1)
-    return total
+    """Closed form for the same line count: d times the hyperflex count."""
+    return (2 * n - 3) * hyperflex_count(n)
 
 
 def euler_schur_relation(d0):

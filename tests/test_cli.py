@@ -191,6 +191,46 @@ def documents(max_weight):
     yield docs.lines_document(5)
 
 
+@pytest.mark.parametrize("argv, head", [
+    ("class 3,2", ["class (3,2) in basis schur:",
+                   "  s_{3,0}: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("class 3,2 --basis chern", ["class (3,2) in basis chern:",
+                                 "  c1^3: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("class 3,2 --basis roots", ["class (3,2) in basis roots:",
+                                 "  a^3: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("plucker 3,2", ["tangent-line counts for (3,2):",
+                     "  Pl_{(3,2);3} = d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("flex 5", ["tangent-line counts for (5):",
+                "  Pl_{(5);4} = d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("asymptotic 3,3", ["leading coefficients for (3,3):", "  apl_{(3,3);4} = 1/2"]),
+    ("incidence 3,2 --m 2", ["incidence class for (3,2), peeled at m=2:",
+                             "  zeta^4: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("incidence 3,2 --m 2 --basis zeta-sigma", [
+        "incidence class for (3,2), peeled at m=2:",
+        "  zeta^4: d^5 - 14*d^4 + 80*d^3 - 208*d^2 + 192*d"]),
+    ("flexlocus 3,2 --m 3 --n 4", ["tangency-point locus for (3,2), m=3, ambient n=4:",
+                                   "  zeta^2: 3*d^4 - 7*d^3 - 44*d^2 + 96*d"]),
+    ("pencil 2,2 --m 2 --n 3", ["pencil tangency-point locus for (2,2), m=2, ambient n=3:",
+                                "  zeta: 2*d^3 - d^2 - 21*d + 18"]),
+    ("universal 3,2", ["universal class for (3,2):",
+                       "  xi^0 s_{3,0}: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
+    ("hyperflex --n 4", ["hyperflexes of a generic degree-5 hypersurface in P^3:", "575"]),
+    ("lines --n 4", ["lines on a generic degree-5 hypersurface in P^3:", "2875"]),
+    ("class 3,2 --basis chern --at d=7", ["class (3,2) in basis chern at d=7:",
+                                          "  c1^3: 2520"]),
+])
+def test_text_heading_and_first_row_of_every_command(capsys, argv, head):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out.splitlines()[:2] == head
+
+
+def test_text_does_not_depend_on_the_key_order_of_the_rows():
+    """JSON sorts the keys, so a label read in row order would change here."""
+    for doc in documents(6):
+        assert docs.emit_text(docs.parse_json(docs.emit_json(doc))) == docs.emit_text(doc)
+
+
 def test_text_values_match_the_fraction_spelling():
     """The text of each coefficient array is what a DPoly rebuilt from it prints."""
     rows = 0

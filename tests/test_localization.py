@@ -18,8 +18,9 @@ hypersurface along the moduli, which gives the universal class.
 
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
-from rootstrata.crs import crs_class_at
+from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.partitions import stratum_partitions
 from rootstrata.universal import universal_class
 
@@ -50,6 +51,35 @@ def localized(lam, d, alpha, beta, xi=0):
                     den *= (i - r) * (alpha - beta)
             total += Fraction(num, den)
     return total / lam.multiplicity_factorial()
+
+
+def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
+    """The same sum, grouped by the number j of ones in s and the sum of their parts.
+
+    tau over s is (-1)^j (alpha - beta)^k and n sees s only through that
+    sum, so a subset-sum count over the parts replaces the 2^k terms.  The
+    r-th denominator is (-1)^r r! (e - r)! (alpha - beta)^e with e = d - w,
+    and each numerator leaves one factor out: a prefix times a suffix product.
+    """
+    k, e = len(lam), d - lam.weight
+    factors = [i * alpha + (d - i) * beta + xi for i in range(d + 1)]
+    prefix, suffix = [1], [1]
+    for f, g in zip(factors, reversed(factors)):
+        prefix.append(prefix[-1] * f)
+        suffix.append(suffix[-1] * g)
+    counts = {(0, 0): 1}  # (j, sum over the ones): how many s
+    for p in lam.parts:
+        grown = dict(counts)
+        for (j, ones), c in counts.items():
+            grown[j + 1, ones + p] = grown.get((j + 1, ones + p), 0) + c
+        counts = grown
+    total = 0
+    for (j, ones), c in counts.items():
+        for r in range(e + 1):
+            n = r + ones
+            total += (-1) ** (j + r) * c * comb(e, r) * prefix[n] * suffix[d - n]
+    return Fraction(total, factorial(e) * (alpha - beta) ** (k + e)
+                    * lam.multiplicity_factorial())
 
 
 def at_point(poly, d, **point):
@@ -87,3 +117,29 @@ def test_localization_with_xi_matches_the_universal_class():
                 assert got == localized(lam, d, t, 1, x), (lam, d, t, x)
                 checked += 1
     assert checked == 312
+
+
+def test_subset_sums_match_the_plain_sum():
+    checked = 0
+    for lam in strata(7):
+        w = lam.weight
+        for d in range(w, 2 * w + 2):
+            for t, x in ((2, 0), (3, 0), (3, 5), (5, -2)):
+                want = localized(lam, d, t, 1, x)
+                assert localized_by_subset_sums(lam, d, t, 1, x) == want, (lam, d, t, x)
+                checked += 1
+    assert checked == 420
+
+
+def test_localization_matches_the_class_through_weight_20():
+    """The symbolic class in the roots at d = w and 2w + 3, on all 627 strata."""
+    checked = 0
+    for lam in strata(20):
+        roots = crs_class(lam).to_roots()
+        w = lam.weight
+        for d in (w, 2 * w + 3):
+            for t in (2, 3):
+                want = localized_by_subset_sums(lam, d, t, 1)
+                assert at_point(roots, d, a=t, b=1) == want, (lam, d, t)
+                checked += 1
+    assert checked == 2508
