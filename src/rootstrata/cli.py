@@ -6,11 +6,13 @@ docs.<command>_document from its parsed options.
 Exit codes: 0 success, 1 self-test mismatch, 2 usage error,
 3 domain error (bad partition or degree), 4 internal failure (a broken
 invariant or any other unexpected exception, reported in one line).
+A reader that closes stdout early changes neither the code nor stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -111,7 +113,13 @@ def main(argv=None):
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
-    print(docs.emit_json(doc) if as_json else docs.emit_text(doc))
+    try:
+        print(docs.emit_json(doc) if as_json else docs.emit_text(doc), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point fd 1 at devnull so the exit flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
     return 0 if doc.get("ok", True) else 1
 
 

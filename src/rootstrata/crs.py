@@ -18,8 +18,8 @@ product to (m+1)^m, and a Schur coefficient is a difference of two rows:
 B = bitlength(R (m+1)^(n+m)) + n + 2 puts 2^(B-1) above
 R (1+m)^n 2^n (m+1)^m 2.  Horner's rule in a base wider by (1+m)^digits
 takes each readout back to d.  _peel does the same step on MultiPoly
-terms for the flag roots (eta, zeta); resolving through it cross-checks
-the packed level.
+terms for the flag roots (eta, zeta); the resolution route recurses
+through it alone, so it cross-checks the packed level.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import accumulate, zip_longest
 from operator import index
 
 from .dpoly import D, _canonical, common_numerators, taylor_shift
-from .errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
+from .errors import DegreeTooSmall, PolynomialityViolation
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
 from .schur import (SchurExpansion, complete_h_expand, divided_difference,
@@ -91,8 +91,8 @@ class CRSClass:
 def _euler_factor(m, x=_A, y=_B, d=D):
     """Product of (i*x + (d - i)*y) for i = 0 .. m-1, d the scalar D by default.
 
-    crs_m_closed uses the defaults; weighted_product passes a formal d,
-    euler_pol an integer d, and _peel the flag roots (eta, zeta).
+    weighted_product uses the defaults, euler_pol an integer d, and _peel
+    the flag roots (eta, zeta).
     """
     total = MultiPoly.scalar(1)
     for i in range(m):
@@ -101,8 +101,8 @@ def _euler_factor(m, x=_A, y=_B, d=D):
 
 
 def weighted_product(m):
-    """Product of (i*a + (d - i)*b) for i = 0 .. m-1, with d a variable."""
-    return _euler_factor(m, d=MultiPoly.variable("d"))
+    """Product of (i*a + (d - i)*b) for i = 0 .. m-1, with d in the scalars."""
+    return _euler_factor(m)
 
 
 def crs_class(lam):
@@ -130,8 +130,6 @@ def crs_class_peeled(lam, m):
     Row i of the smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
     """
     lam = validate_stratum(lam)
-    if m not in lam.parts:
-        raise InvalidPartition(f"{m} is not a part of {lam}")
     cls = crs_class(lam.remove_one(m))
     n = cls.partition.codim
     lists, den = common_numerators(
@@ -203,18 +201,16 @@ def _schur_readout(row, den, m, bits):
     return SchurExpansion(out)
 
 
-def _peel(lam, m, x=_A, y=_B):
-    """Twisted class of lam minus one part m, times the m-term Euler factor.
+def _peel(prev, m, x=_A, y=_B):
+    """Twisted smaller class prev times the m-term Euler factor.
 
-    The smaller class has d shifted to d - m and its roots sent to
-    x*d / (d - m) and (y*(d - m) + x*m) / (d - m).  The single denominator
-    (d - m)^codim must clear exactly, which proves the answer polynomial
-    in d.  It serves the incidence class on the flag roots (eta, zeta); on
-    (a, b) its divided difference is what crs_class_peeled runs packed.
+    prev, in the roots a, b, is the class of a stratum less one part m.  It
+    gets d shifted to d - m and its roots sent to x*d / (d - m) and
+    (y*(d - m) + x*m) / (d - m).  The single denominator (d - m)^codim must
+    clear exactly, which proves the answer polynomial in d.  It serves the
+    incidence class on the flag roots (eta, zeta); on (a, b) its divided
+    difference is what crs_class_peeled runs packed.
     """
-    if m not in lam.parts:
-        raise InvalidPartition(f"{m} is not a part of {lam}")
-    prev = crs_class(lam.remove_one(m)).to_roots()
     shifted = MultiPoly(prev.variables,
                         {e: c.compose(D - m) for e, c in prev.terms.items()})
     twisted = substitute_homogeneous(
@@ -246,7 +242,7 @@ def crs_class_at(lam, d0):
 def crs_m_closed(m):
     """Single-part stratum class straight from one divided difference."""
     lam = validate_stratum((m,))
-    expansion = schur_expand(divided_difference(_euler_factor(m)))
+    expansion = schur_expand(divided_difference(weighted_product(m)))
     return CRSClass(lam, expansion)
 
 

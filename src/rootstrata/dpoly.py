@@ -8,24 +8,30 @@ from math import gcd, lcm
 from .errors import InconsistentSamples, PolynomialityViolation, ZeroDenominator
 
 
+def _parts(x):
+    """Canonical (numerators, denominator) of a DPoly, int or Fraction; else None."""
+    if isinstance(x, DPoly):
+        return x._nums, x._den
+    if isinstance(x, int):
+        return ((x,) if x else ()), 1
+    if isinstance(x, Fraction):
+        return ((x.numerator,) if x else ()), x.denominator
+    return None
+
+
+def is_scalar(x):
+    """Is x a scalar of the polynomials here: a DPoly, an int or a Fraction?"""
+    return _parts(x) is not None
+
+
+def as_dpoly(x):
+    """The scalar x as a DPoly; an int or Fraction becomes a constant."""
+    return x if isinstance(x, DPoly) else DPoly.constant(x)
+
+
 def _as_fraction(x):
     """An int, a Fraction or a constant DPoly as a Fraction; else TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, DPoly) and x.degree <= 0:
-        return x.constant_term()
-    raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
-
-
-def _scalar_parts(x):
-    """(numerator, denominator) of an int or Fraction scalar, else None."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return None
+    return DPoly.constant(x).constant_term()
 
 
 def _canonical(nums, den):
@@ -118,11 +124,11 @@ class DPoly:
 
     @classmethod
     def constant(cls, c):
-        """The constant polynomial c, for an int or Fraction c."""
-        parts = _scalar_parts(c)
-        if parts is None:
+        """The constant polynomial c, for an int, a Fraction or a constant DPoly."""
+        parts = _parts(c)
+        if parts is None or len(parts[0]) > 1:
             raise TypeError(f"expected an exact rational scalar, got {type(c).__name__}")
-        return _raw((parts[0],), parts[1]) if parts[0] else _raw((), 1)
+        return _raw(*parts)
 
     @property
     def coeffs(self):
@@ -145,13 +151,10 @@ class DPoly:
         return Fraction(self._nums[0], self._den) if self._nums else Fraction(0)
 
     def __eq__(self, other):
-        if isinstance(other, DPoly):
-            return self._nums == other._nums and self._den == other._den
-        parts = _scalar_parts(other)
+        parts = _parts(other)
         if parts is None:
             return NotImplemented
-        num, den = parts
-        return self._den == den and self._nums == ((num,) if num else ())
+        return self._nums == parts[0] and self._den == parts[1]
 
     def __hash__(self):
         # a constant hashes as the scalar it equals
@@ -163,13 +166,11 @@ class DPoly:
         return _raw(tuple(-x for x in self._nums), self._den)
 
     def __add__(self, other):
-        if isinstance(other, DPoly):
-            a, da, b, db = self._nums, self._den, other._nums, other._den
-        else:
-            parts = _scalar_parts(other)
-            if parts is None:
-                return NotImplemented
-            a, da, b, db = self._nums, self._den, parts[:1], parts[1]
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        a, da = self._nums, self._den
+        b, db = parts
         if da != db:
             g = gcd(da, db)
             fa, fb = db // g, da // g
@@ -186,33 +187,32 @@ class DPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (DPoly, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        return self + _raw(tuple(-x for x in parts[0]), parts[1])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, DPoly):
-            a, b = self._nums, other._nums
-            if not a or not b:
-                return _raw((), 1)
-            if len(a) < len(b):
-                a, b = b, a
-            out = [0] * (len(a) + len(b) - 1)
-            for j, y in enumerate(b):
-                if y:
-                    for i, x in enumerate(a, j):
-                        out[i] += x * y
-            den = self._den * other._den
-            if den == 1:
-                return _raw(tuple(out), 1)
-            return _canonical(out, den)
-        parts = _scalar_parts(other)
+        parts = _parts(other)
         if parts is None:
             return NotImplemented
-        return self._scaled(*parts)
+        a, b = self._nums, parts[0]
+        if not a or not b:
+            return _raw((), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        den = self._den * parts[1]
+        if den == 1:
+            return _raw(tuple(out), 1)
+        return _canonical(out, den)
 
     __rmul__ = __mul__
 
@@ -236,26 +236,27 @@ class DPoly:
 
     def __truediv__(self, other):
         """Exact quotient; a nonzero remainder raises PolynomialityViolation."""
-        parts = _scalar_parts(other)
-        if parts is not None:
-            if not parts[0]:
-                raise ZeroDenominator("division of a polynomial by zero")
-            return self._scaled(parts[1], parts[0])
-        if isinstance(other, DPoly):
-            q, r = self.divmod(other)
-            if r:
-                raise PolynomialityViolation(
-                    f"inexact division by {other}: remainder {r}")
-            return q
-        return NotImplemented
+        parts = _parts(other)
+        if parts is None:
+            return NotImplemented
+        nums, den = parts
+        if not nums:
+            raise ZeroDenominator("division of a polynomial by zero")
+        if len(nums) == 1:
+            # pseudo-division by a constant would inflate the numerators
+            return self._scaled(den, nums[0])
+        q, r = self.divmod(other)
+        if r:
+            raise PolynomialityViolation(f"inexact division by {other}: remainder {r}")
+        return q
 
     def __call__(self, x):
         """Evaluate at a rational point by Horner's rule."""
-        x = _as_fraction(x)
+        x = DPoly.constant(x)
         nums = self._nums
         if not nums:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
+        p, q = (x._nums or (0,))[0], x._den
         # homogenized Horner: sum of c_i p^i q^(n-i), over den * q^n
         acc, qk = 0, 1
         for c in reversed(nums):
@@ -279,14 +280,13 @@ class DPoly:
         return _raw(tuple(taylor_shift(self._nums, c)), self._den)
 
     def divmod(self, other):
-        """Exact quotient and remainder over Q; an int or Fraction is a constant.
+        """Exact quotient and remainder over Q by a DPoly, an int or a Fraction.
 
         By integer pseudo-division: with self = nums / den and other = b / e,
         lead**k * nums = quot * b + rem makes the quotient quot * e / (lead**k * den)
         and the remainder rem / (lead**k * den).
         """
-        if not isinstance(other, DPoly):
-            other = DPoly.constant(other)
+        other = as_dpoly(other)
         if not other:
             raise ZeroDenominator("polynomial division by zero")
         b = other._nums

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crs import _peel
+from .crs import _peel, crs_class
 from .dpoly import ZERO
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
@@ -150,21 +150,25 @@ def incidence_class(lam, m):
     multiplies in.
     """
     lam = validate_stratum(lam)
-    return FlagClass(_peel(lam, m, _ETA, _ZETA))
+    prev = crs_class(lam.remove_one(m)).to_roots()
+    return FlagClass(_peel(prev, m, _ETA, _ZETA))
 
 
 def tangency_class_resolution(lam, n, peel=None):
     """Stratum class recovered by resolving through the incidence variety.
 
     Must agree with crs_class up to the ambient truncation; peel picks
-    which part to split off (largest by default).
+    which part to split off (largest by default).  The smaller class comes
+    from this route too, one level per part, in an ambient space large
+    enough to truncate nothing, so no level reads the symbolic recursion.
     """
     lam = validate_stratum(lam)
     if not lam:
         return GrassClass(SchurExpansion({(0, 0): 1}), n)
     m = peel if peel is not None else lam.largest
-    inc = incidence_class(lam, m)
-    pushed = p_push(FlagClass(inc.poly, n))
+    sub = lam.remove_one(m)
+    prev = tangency_class_resolution(sub, sub.codim + 2).expansion.to_roots()
+    pushed = p_push(FlagClass(_peel(prev, m, _ETA, _ZETA), n))
     return GrassClass(pushed.expansion * Fraction(1, lam.multiplicity(m)), n)
 
 

@@ -137,7 +137,7 @@ def check_complete_h():
 
 
 def check_weighted_product():
-    return expect_str(weighted_product(2), "b^2*d^2 + a*b*d - b^2*d")
+    return expect_str(weighted_product(2), "(d)*a*b + (d^2 - d)*b^2")
 
 
 def check_crs_two():

@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials with DPoly scalars.
 
 Every coefficient is a DPoly, a polynomial in the degree d over Q, so d
-lives in the scalars; an int or Fraction given to the constructor is
-wrapped as a constant DPoly on the way in, and * or / by one scales each
-DPoly.  d may also be a formal variable over constant scalars, as in
-crs.weighted_product, but never both ways in one polynomial.
+lives in the scalars and is never a variable; an int or Fraction given to
+the constructor is wrapped as a constant DPoly on the way in, and * or /
+by one scales each DPoly.
 
 One function, _build, puts terms in canonical form.  The constructor
 checks caller input and then calls it; every internal result goes to it
@@ -13,23 +12,13 @@ directly as (exponent tuple, DPoly) pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, index
 
-from .dpoly import DPoly, _as_fraction, joined, monomial
+from .dpoly import as_dpoly, is_scalar, joined, monomial
 from .errors import PolynomialityViolation, ZeroDenominator
 
-VAR_ORDER = ("a", "b", "c1", "c2", "d", "zeta", "eta", "sigma1", "xi")
+VAR_ORDER = ("a", "b", "c1", "c2", "zeta", "eta", "sigma1", "xi")
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_ORDER)}
-
-
-def _as_dpoly(c):
-    """The scalar c as a DPoly; an int or Fraction becomes a constant."""
-    return c if isinstance(c, DPoly) else DPoly.constant(c)
-
-
-def _is_scalar(x):
-    return isinstance(x, (int, Fraction, DPoly))
 
 
 def _ordered(names):
@@ -44,8 +33,7 @@ def _build(variables, pairs):
     """The canonical MultiPoly of (exponent tuple, DPoly) pairs.
 
     variables are distinct names in VAR_ORDER and every tuple matches them.
-    Repeated exponents add, zero sums and unused variables drop, and d as a
-    variable next to a d-dependent scalar raises TypeError.
+    Repeated exponents add, and zero sums and unused variables drop.
     """
     terms = {}
     for e, c in pairs:
@@ -56,8 +44,6 @@ def _build(variables, pairs):
     if len(used) != len(variables):
         terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
         variables = tuple(variables[i] for i in used)
-    if "d" in variables and any(c.degree > 0 for c in terms.values()):
-        raise TypeError("d cannot be a variable while scalars depend on d")
     p = object.__new__(MultiPoly)
     p.variables = variables
     p.terms = terms
@@ -101,14 +87,14 @@ class MultiPoly:
                 raise ValueError("exponent arity does not match the variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            pairs.append((tuple(exps[i] for i in order), _as_dpoly(c)))
+            pairs.append((tuple(exps[i] for i in order), as_dpoly(c)))
         p = _build(names, pairs)
         self.variables = p.variables
         self.terms = p.terms
 
     @classmethod
     def scalar(cls, c):
-        return _build((), [((), _as_dpoly(c))])
+        return _build((), [((), as_dpoly(c))])
 
     @classmethod
     def variable(cls, name):
@@ -122,14 +108,14 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             other = MultiPoly.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             other = MultiPoly.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -143,9 +129,7 @@ class MultiPoly:
         return _build(self.variables, [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = MultiPoly.scalar(other)
-        if not isinstance(other, MultiPoly):
+        if not (is_scalar(other) or isinstance(other, MultiPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -153,7 +137,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return _build(self.variables, [(e, c * other) for e, c in self.terms.items()])
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -166,7 +150,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         """Exact division by a scalar; see DPoly.__truediv__."""
-        if not _is_scalar(other):
+        if not is_scalar(other):
             return NotImplemented
         if not other:
             raise ZeroDenominator("division of a polynomial by zero")
@@ -256,11 +240,9 @@ class MultiPoly:
         return _build(merged, pairs())
 
     def evaluate_d(self, k):
-        """Specialize d to the rational number k, wherever d lives."""
-        if "d" in self.variables:
-            return self.substitute({"d": _as_fraction(k)})
+        """Specialize d in every scalar to the rational number k."""
         return _build(self.variables,
-                      [(e, DPoly.constant(c(k))) for e, c in self.terms.items()])
+                      [(e, as_dpoly(c(k))) for e, c in self.terms.items()])
 
     def two_var_terms(self, x, y):
         """Exponent map {(i, j): coeff} for a polynomial in x and y alone."""

@@ -120,7 +120,9 @@ class Partition:
         return sum(p - 1 for p in self.parts)
 
     def remove_one(self, v):
-        """Drop a single copy of the part v."""
+        """Drop a single copy of the part v; a missing part raises InvalidPartition."""
+        if v not in self.parts:
+            raise InvalidPartition(f"{v} is not a part of {self}")
         ps = list(self.parts)
         ps.remove(v)
         return Partition(ps)

@@ -5,9 +5,9 @@ from __future__ import annotations
 from operator import index
 from types import MappingProxyType
 
-from .dpoly import ZERO, joined
+from .dpoly import ZERO, as_dpoly, joined
 from .errors import NotSymmetric
-from .multipoly import MultiPoly, _as_dpoly, _build, _ordered, _widen, as_multipoly
+from .multipoly import MultiPoly, _build, _ordered, _widen, as_multipoly
 
 
 def divided_difference(p, x="a", y="b"):
@@ -43,7 +43,7 @@ class SchurExpansion:
             k, l = index(k), index(l)
             if not (k >= l >= 0):
                 raise ValueError(f"bad index ({k}, {l}): need k >= l >= 0")
-            c = _as_dpoly(c)
+            c = as_dpoly(c)
             if c:
                 clean[(k, l)] = c
         # read-only: memoized classes share their expansions with every caller

@@ -3,6 +3,7 @@
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -268,6 +269,38 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][0]["coeffs_d"] == ["0", "-1", "1"]
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_the_exit_code(monkeypatch):
+    """A reader that leaves early costs neither the exit code nor a traceback."""
+    saved = os.dup(1)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(["class", "2,2"]) == 0
+            assert os.path.samestat(os.fstat(1), os.stat(os.devnull))
+            monkeypatch.setitem(golden.HYPERFLEX_GOLDEN, 5, 99716)
+            assert main(["selftest", "--json"]) == 1
+        assert err.getvalue() == ""
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
+def test_a_reader_that_closes_before_the_output_sees_no_traceback():
+    read, write = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-m", "rootstrata.cli", "class", "2^20"],
+                            stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    os.close(read)  # the child is still importing, about 100 ms, so it prints later
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_huge_repeat_count_is_a_domain_error(capsys):

@@ -1,5 +1,6 @@
 """Dense univariate polynomials in d."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -245,6 +246,28 @@ def test_scalar_equality_and_hash(c, e):
         assert p == int(c)
     assert DPoly((c, 0, 0)) == p and hash(DPoly((c, 0, 0))) == hash(p)
     assert (p * D == c) == (c == 0)
+
+
+@given(coeff_lists, fractions)
+@example([1, 2], Fraction(0))
+@settings(max_examples=80, deadline=None)
+def test_every_scalar_operand_takes_one_path(a, c):
+    """An int, a Fraction and a constant DPoly give the same results; a float or str none."""
+    p = DPoly(a)
+    forms = [c, DPoly.constant(c)] + ([int(c)] if c.denominator == 1 else [])
+    seen = set()
+    for x in forms:
+        got = [p + x, x + p, p - x, x - p, p * x, x * p]
+        assert all(canonical(r) for r in got)
+        seen.add((tuple((r._nums, r._den) for r in got), p == x, hash(x)))
+    assert len(seen) == 1, seen
+    for bad in (float(c), 0.5, str(c)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, bad)
+            with pytest.raises(TypeError):
+                op(bad, p)
+        assert p != bad and bad != p and not p == bad
 
 
 @given(coeff_lists)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rootstrata.crs import crs_class
+from rootstrata import crs as crs_module
+from rootstrata.crs import crs_class, crs_class_peeled
 from rootstrata.dpoly import D
 from rootstrata.errors import InvalidPartition
 from rootstrata.flagcalc import (FlagClass, GrassClass, ProjClass,
@@ -108,6 +109,14 @@ def test_incidence_needs_a_matching_part():
         incidence_class((2, 2), 3)
 
 
+def test_every_peel_refuses_a_missing_part():
+    peels = [lambda: crs_class_peeled((2, 2), 3), lambda: incidence_class((2, 2), 3),
+             lambda: tangency_class_resolution((2, 2), 4, peel=3)]
+    for peel in peels:
+        with pytest.raises(InvalidPartition, match=r"^3 is not a part of \(2,2\)$"):
+            peel()
+
+
 def test_half_p_push_recovers_the_stratum_class():
     inc = incidence_class((2, 2), 2)
     pushed = p_push(FlagClass(inc.poly))
@@ -133,6 +142,28 @@ def test_tangency_peel_choice_does_not_matter():
         baseline = tangency_class_resolution(lam, n)
         for m, got in results.items():
             assert got.expansion == baseline.expansion, (lam, m)
+
+
+def test_resolution_route_reads_no_packed_level(monkeypatch):
+    """A packed-kernel fault below the top level shows against the resolution route."""
+    level = crs_module._level
+
+    def doubled_at_codim_1(rows, m, den):
+        out = level(rows, m, den)
+        return out * 2 if len(rows) == 2 else out
+
+    lam = (2, 2, 2)
+    want = crs_class(lam).expansion
+    crs_module._crs_cached.cache_clear()
+    monkeypatch.setattr(crs_module, "_level", doubled_at_codim_1)
+    try:
+        broken = crs_class(lam).expansion
+        resolved = tangency_class_resolution(lam, 6).expansion
+    finally:
+        monkeypatch.undo()
+        crs_module._crs_cached.cache_clear()
+    assert broken != want
+    assert resolved == want
 
 
 def test_flex_point_loci_golden():

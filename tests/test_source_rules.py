@@ -41,10 +41,10 @@ def _tests_for_dpoly(node):
 
 
 def test_only_the_scalar_modules_test_for_dpoly():
-    """Every coefficient is a DPoly; dpoly and multipoly alone decide what a scalar is."""
+    """Every coefficient is a DPoly; dpoly alone decides what a scalar is."""
     problems = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("dpoly.py", "multipoly.py"):
+        if path.name == "dpoly.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if _tests_for_dpoly(node):
