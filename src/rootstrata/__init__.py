@@ -20,10 +20,9 @@ from .flagcalc import (FlagClass, GrassClass, ProjClass,
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, stratum_partitions, validate_stratum
 from .plucker import (AsymptoticTable, PluckerTable, asymptotic_plucker,
-                      degree_table, euler_schur_relation, hyperflex_count,
-                      lines_on_hypersurface, mflex_coefficient,
-                      mflex_polynomial, plucker_point, plucker_table,
-                      zagier_lines)
+                      degree_table, hyperflex_count, lines_on_hypersurface,
+                      mflex_coefficient, mflex_polynomial, plucker_point,
+                      plucker_table, zagier_lines)
 from .schur import (SchurExpansion, chern_to_schur, complete_h_expand,
                     divided_difference, schur_expand, schur_to_chern,
                     schur_to_roots)
@@ -41,7 +40,7 @@ __all__ = [
     "ZeroDenominator", "asymptotic_plucker", "catalan", "chern_to_schur",
     "complete_h_expand", "crs_class", "crs_class_at", "crs_m_closed",
     "degree_table", "divided_difference", "euler_identity_check",
-    "euler_pol", "euler_schur_relation", "flex_point_locus_class",
+    "euler_pol", "flex_point_locus_class",
     "hilbert_degree", "hyperflex_count", "incidence_class", "interpolate",
     "kostka", "leading_term", "lines_on_hypersurface", "mflex_coefficient",
     "mflex_polynomial", "p_push", "pencil_locus_class", "plucker_point",

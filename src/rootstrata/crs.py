@@ -19,7 +19,8 @@ B = bitlength(R (m+1)^(n+m)) + n + 2 puts 2^(B-1) above
 R (1+m)^n 2^n (m+1)^m 2.  Horner's rule in a base wider by (1+m)^digits
 takes each readout back to d.  _peel does the same step on MultiPoly
 terms for the flag roots (eta, zeta); the resolution route recurses
-through it alone, so it cross-checks the packed level.
+through it alone, so it cross-checks the packed level.  crs_class_at,
+the per-d route, shares none of this: it loops over rows of plain ints.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
+from math import comb
 from operator import index
 
 from .dpoly import D, _canonical, common_numerators, taylor_shift
@@ -219,24 +221,35 @@ def _peel(prev, m, x=_A, y=_B):
 
 
 def crs_class_at(lam, d0):
-    """The same recursion with d frozen at the integer d0; pure, no cache."""
+    """The same recursion with d frozen at the integer d0; pure, no cache.
+
+    Parts peel from the last one up, d rising from d0 - |lam| to d0; a level
+    is the row of a^i b^(n - i) coefficients in the roots, integers over den.
+    With e = d - m the twist gives row'[j] = e^(n - j) sum over i <= j of
+    C(n - i, j - i) d^i m^(j - i) row[i], over e^n; an Euler factor gives
+    i*P[I - 1] + (d - i)*P[I]; the divided difference is the running sums
+    Q[t] of P[i] - P[N - i] over i <= t, and c_{k,l} = Q[l] - Q[l - 1].
+    """
     lam = validate_stratum(lam)
     d0 = index(d0)
     if d0 < lam.weight:
         raise DegreeTooSmall(
             f"degree {d0} cannot hold a stratum of weight {lam.weight}")
-    if not lam:
-        return SchurExpansion({(0, 0): 1})
-    m = lam.largest
-    sub = lam.remove_one(m)
-    prev = crs_class_at(sub, d0 - m)
-    tw = prev.to_roots()
-    if sub:
-        q = Fraction(m, d0 - m)
-        tw = tw.substitute({"a": _A * (1 + q), "b": _B + _A * q})
-    wp = weighted_product(m).evaluate_d(d0)
-    expansion = schur_expand(divided_difference(tw * wp))
-    return expansion * Fraction(1, lam.multiplicity(m))
+    parts = lam.parts
+    row, den, d = [1], 1, d0 - lam.weight
+    for k in range(len(parts) - 1, -1, -1):
+        m = parts[k]
+        e, d, n = d, d + m, len(row) - 1
+        row = [e ** (n - j) * sum(comb(n - i, j - i) * d ** i * m ** (j - i) * row[i]
+                                  for i in range(j + 1)) for j in range(n + 1)]
+        den *= e ** n * parts[k:].count(m)
+        for i in range(m):
+            row = [i * p + (d - i) * c for p, c in zip([0] + row, row + [0])]
+        top = len(row) - 1
+        row = list(accumulate(row[i] - row[top - i] for i in range(top)))
+    codim = len(row) - 1
+    return SchurExpansion({(codim - l, l): Fraction(row[l] - (row[l - 1] if l else 0), den)
+                           for l in range(codim // 2 + 1)})
 
 
 def crs_m_closed(m):

@@ -9,7 +9,7 @@ from .combinat import kostka, stirling_first
 from .crs import crs_class, euler_pol
 from .dpoly import D, DPoly
 from .errors import DegreeMismatch, OutOfRange, PolynomialityViolation
-from .partitions import MAX_WEIGHT, Partition, validate_stratum
+from .partitions import MAX_WEIGHT, validate_stratum
 from .schur import schur_expand
 
 
@@ -190,19 +190,3 @@ def lines_on_hypersurface(n):
 def zagier_lines(n):
     """Closed form for the same line count: d times the hyperflex count."""
     return (2 * n - 3) * hyperflex_count(n)
-
-
-def euler_schur_relation(d0):
-    """Check that the Euler class coefficients are d times the top stratum's."""
-    if d0 < 2:
-        raise OutOfRange("need degree >= 2")
-    from .crs import crs_class_at
-
-    e = schur_expand(euler_pol(d0))
-    v = crs_class_at(Partition((d0,)), d0)
-    if e.coefficient(d0 + 1, 0) != 0:
-        return False
-    for j in range((d0 - 1) // 2 + 1):
-        if e.coefficient(d0 - j, j + 1) != d0 * v.coefficient(d0 - 1 - j, j):
-            return False
-    return True

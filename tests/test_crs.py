@@ -82,11 +82,28 @@ def test_weighted_product_small():
 
 
 def test_integer_specialization_matches_symbolic():
-    for lam in strata(7):
-        cls = crs_class(lam)
-        for d0 in range(lam.weight, lam.weight + 4):
-            direct = crs_class_at(lam, d0)
-            assert direct == cls.evaluate(d0), (lam, d0)
+    cases = [(lam, d0) for lam in strata(7) for d0 in range(lam.weight, lam.weight + 4)]
+    # at the weight bound: the longest chain of parts and the widest part
+    cases += [(Partition((2,) * 50), 100), (Partition((10,) * 10), 101)]
+    for lam, d0 in cases:
+        assert crs_class_at(lam, d0) == crs_class(lam).evaluate(d0), (lam, d0)
+
+
+def test_per_d_route_reads_no_polynomial_layer(monkeypatch):
+    """crs_class_at works on integer rows alone, apart from every symbolic layer."""
+    cases = [(lam, d0) for lam in strata(8) for d0 in (lam.weight, lam.weight + 3)]
+    want = [crs_class(lam).evaluate(d0) for lam, d0 in cases]
+
+    def used(*args, **kwargs):
+        raise AssertionError("layer used")
+
+    for name in ("weighted_product", "divided_difference", "schur_expand",
+                 "_level", "_peel", "taylor_shift"):
+        monkeypatch.setattr(crs_module, name, used)
+    for name in ("substitute", "__mul__", "evaluate_d"):
+        monkeypatch.setattr(MultiPoly, name, used)
+    monkeypatch.setattr(SchurExpansion, "to_roots", used)
+    assert [crs_class_at(lam, d0) for lam, d0 in cases] == want
 
 
 def test_interpolation_reconstructs_symbolic():
@@ -116,7 +133,7 @@ def test_classes_take_integer_values_at_integers():
 
 
 def test_euler_identity():
-    for d0 in range(2, 7):
+    for d0 in range(2, 8):
         assert euler_identity_check(d0)
     with pytest.raises(DegreeTooSmall):
         euler_identity_check(1)

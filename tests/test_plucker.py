@@ -14,10 +14,9 @@ from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import OutOfRange
 from rootstrata.partitions import MAX_WEIGHT, Partition, stratum_partitions
 from rootstrata.plucker import (asymptotic_plucker, degree_table,
-                                euler_schur_relation, hyperflex_count,
-                                lines_on_hypersurface, mflex_coefficient,
-                                mflex_polynomial, plucker_point,
-                                plucker_table, zagier_lines)
+                                hyperflex_count, lines_on_hypersurface,
+                                mflex_coefficient, mflex_polynomial,
+                                plucker_point, plucker_table, zagier_lines)
 
 
 def strata(max_weight):
@@ -141,13 +140,6 @@ def test_lines_on_hypersurfaces():
         assert lines_on_hypersurface(n) == (2 * n - 3) * hyperflex_count(n)
 
 
-def test_euler_schur_relation():
-    for d0 in range(2, 8):
-        assert euler_schur_relation(d0)
-    with pytest.raises(OutOfRange):
-        euler_schur_relation(1)
-
-
 def test_table_iteration_and_str():
     table = plucker_table((3,))
     assert [i for i, _ in table] == [2, 0]
@@ -198,6 +190,17 @@ def test_salmon_quadritangent_count():
         assert crs_class_at((2, 2, 2, 2), d0).coefficient(2, 2) == salmon(d0)
     # zero for degrees 4 to 7; 8*4*3*2*1*922/12 quadritangents on an octic
     assert [salmon(d) for d in range(4, 9)] == [0, 0, 0, 0, 14752]
+
+
+def test_salmon_five_fold_contact_count():
+    """Lines with five-point contact to a degree-d surface in P^3.
+
+    Salmon, A Treatise on the Analytic Geometry of Three Dimensions; also
+    Eisenbud-Harris, 3264 and All That, Ch. 11: such lines number
+    5d(d - 4)(7d - 12).
+    """
+    salmon = 5 * D * (D - 4) * (7 * D - 12)
+    assert plucker_table((5,)).polynomial(0) == salmon
 
 
 CHECK_THEOREMS = Path(__file__).with_name("check_theorems.py")
