@@ -22,10 +22,9 @@ from .partitions import Partition, stratum_partitions, validate_stratum
 from .plucker import (AsymptoticTable, PluckerTable, asymptotic_plucker,
                       degree_table, hyperflex_count, lines_on_hypersurface,
                       mflex_coefficient, mflex_polynomial, plucker_point,
-                      plucker_table, zagier_lines)
+                      plucker_table)
 from .schur import (SchurExpansion, chern_to_schur, complete_h_expand,
-                    divided_difference, schur_expand, schur_to_chern,
-                    schur_to_roots)
+                    divided_difference, schur_expand, schur_to_chern)
 from .universal import (UniversalClass, hilbert_degree, pencil_locus_class,
                         universal_class, universal_incidence_class)
 
@@ -45,8 +44,8 @@ __all__ = [
     "kostka", "leading_term", "lines_on_hypersurface", "mflex_coefficient",
     "mflex_polynomial", "p_push", "pencil_locus_class", "plucker_point",
     "plucker_table", "q_push", "riordan", "schur_expand", "schur_to_chern",
-    "schur_to_roots", "stirling_first", "stratum_partitions",
+    "stirling_first", "stratum_partitions",
     "substitute_homogeneous", "tangency_class_resolution",
     "universal_class", "universal_incidence_class", "validate_stratum",
-    "weighted_product", "zagier_lines",
+    "weighted_product",
 ]

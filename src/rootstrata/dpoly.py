@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import index
 
 from .errors import InconsistentSamples, PolynomialityViolation, ZeroDenominator
 
@@ -27,11 +28,6 @@ def is_scalar(x):
 def as_dpoly(x):
     """The scalar x as a DPoly; an int or Fraction becomes a constant."""
     return x if isinstance(x, DPoly) else DPoly.constant(x)
-
-
-def _as_fraction(x):
-    """An int, a Fraction or a constant DPoly as a Fraction; else TypeError."""
-    return DPoly.constant(x).constant_term()
 
 
 def _canonical(nums, den):
@@ -116,9 +112,9 @@ class DPoly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        canon = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+        cs = [DPoly.constant(c) for c in coeffs]
+        den = lcm(*(c._den for c in cs))
+        canon = _canonical([sum(c._nums) * (den // c._den) for c in cs], den)
         self._nums = canon._nums
         self._den = canon._den
 
@@ -349,16 +345,18 @@ def render(spelled):
 
 D = DPoly((0, 1))
 ZERO = DPoly()
-ONE = DPoly((1,))
 
 
 def interpolate(samples, degree_bound):
     """Unique polynomial of degree <= degree_bound through exact samples.
 
-    Extra samples beyond degree_bound + 1 must lie on the interpolant;
-    a violation raises InconsistentSamples.
+    The first degree_bound + 1 samples fix the Lagrange form; extra samples
+    must lie on the interpolant, and a violation raises InconsistentSamples.
     """
-    pts = [(_as_fraction(k), _as_fraction(v)) for k, v in samples]
+    pts = [(DPoly.constant(k), DPoly.constant(v)) for k, v in samples]
+    degree_bound = index(degree_bound)
+    if degree_bound < -1:
+        raise ValueError(f"degree bound {degree_bound} is below -1")
     seen = set()
     for k, _ in pts:
         if k in seen:
@@ -368,18 +366,11 @@ def interpolate(samples, degree_bound):
         raise ValueError(
             f"need at least {degree_bound + 1} samples for degree {degree_bound}")
     base = pts[:degree_bound + 1]
-    # Newton form on the leading window
-    coeffs = []
-    for i, (xi, yi) in enumerate(base):
-        acc = yi
-        for j in range(i):
-            acc = (acc - coeffs[j]) / (xi - base[j][0])
-        coeffs.append(acc)
-    poly = DPoly()
-    basis = ONE
-    for i, c in enumerate(coeffs):
-        poly = poly + basis * c
-        basis = basis * DPoly((-base[i][0], 1))
+    full = prod(D - x for x, _ in base)
+    poly = ZERO
+    for x, y in base:
+        basis = full / (D - x)
+        poly = poly + basis * (y / basis(x))
     for k, v in pts:
         if poly(k) != v:
             raise InconsistentSamples(

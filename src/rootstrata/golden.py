@@ -20,7 +20,7 @@ from .flagcalc import (FlagClass, flex_point_locus_class, incidence_class,
 from .multipoly import MultiPoly, substitute_homogeneous
 from .plucker import (asymptotic_plucker, degree_table, hyperflex_count,
                       lines_on_hypersurface, mflex_polynomial, plucker_point,
-                      plucker_table, zagier_lines)
+                      plucker_table)
 from .schur import (SchurExpansion, complete_h_expand, divided_difference,
                     schur_expand, schur_to_chern)
 from .universal import (hilbert_degree, pencil_locus_class, universal_class,
@@ -250,8 +250,6 @@ def check_lines():
     if err:
         return err
     for n in (3, 4, 5, 6):
-        if zagier_lines(n) != lines_on_hypersurface(n):
-            return f"closed form disagrees at n={n}"
         if lines_on_hypersurface(n) != (2 * n - 3) * hyperflex_count(n):
             return f"line/hyperflex ratio fails at n={n}"
     return None

@@ -185,8 +185,3 @@ def lines_on_hypersurface(n):
     if c.denominator != 1:
         raise PolynomialityViolation(f"line count {c} is not an integer")
     return int(c)
-
-
-def zagier_lines(n):
-    """Closed form for the same line count: d times the hyperflex count."""
-    return (2 * n - 3) * hyperflex_count(n)

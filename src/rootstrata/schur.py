@@ -126,10 +126,6 @@ def schur_expand(p, x="a", y="b"):
         for n in {i + j for i, j in terms} for j in range(n // 2 + 1)})
 
 
-def schur_to_roots(e, x="a", y="b"):
-    return e.to_roots(x, y)
-
-
 def h_roots(r, x="a", y="b"):
     """Complete homogeneous piece of degree r in two roots."""
     if r < 0:

@@ -103,15 +103,28 @@ def test_interpolate_flags_bad_samples():
         interpolate([(0, 1), (0, 2)], 1)
     with pytest.raises(ValueError):
         interpolate([(0, 1)], 3)
+    # a bound below -1 must not slice samples from the end
+    with pytest.raises(ValueError):
+        interpolate([(0, 0), (1, 1), (2, 2)], -2)
+    with pytest.raises(ValueError):
+        interpolate([(0, 5), (1, 5), (2, 5), (3, 5)], -3)
 
 
-@given(st.lists(fractions, min_size=1, max_size=5))
+@given(st.lists(fractions, min_size=1, max_size=5), st.integers(0, 2), st.data())
 @settings(max_examples=40, deadline=None)
-def test_interpolate_round_trip(coeffs):
+def test_interpolate_round_trip(coeffs, extra, data):
+    """Any distinct rational nodes, unsorted; an extra sample off p is refused."""
     p = DPoly(tuple(coeffs))
     bound = max(p.degree, 0)
-    samples = [(k, p(k)) for k in range(bound + 2)]
+    nodes = data.draw(st.lists(fractions, min_size=bound + 1 + extra,
+                               max_size=bound + 1 + extra, unique=True))
+    samples = [(k, p(k)) for k in nodes]
     assert interpolate(samples, bound) == p
+    if extra:
+        k, v = samples[-1]
+        samples[-1] = (k, v + 1)
+        with pytest.raises(InconsistentSamples):
+            interpolate(samples, bound)
 
 
 # A plain list-of-Fractions reference for the integer-backed DPoly.

@@ -21,8 +21,9 @@ from itertools import product
 from math import comb, factorial
 
 from rootstrata.crs import crs_class, crs_class_at
+from rootstrata.flagcalc import incidence_class
 from rootstrata.partitions import stratum_partitions
-from rootstrata.universal import universal_class
+from rootstrata.universal import universal_class, universal_incidence_class
 
 
 def strata(max_weight):
@@ -32,11 +33,11 @@ def strata(max_weight):
     return out
 
 
-def localized(lam, d, alpha, beta, xi=0):
-    """The Atiyah-Bott sum above, exactly, at integer weights."""
-    w, total = lam.weight, Fraction(0)
-    for s in product((0, 1), repeat=len(lam)):
-        ones = sum(p for p, bit in zip(lam.parts, s) if bit)
+def _fixed_point_sum(parts, w, d, alpha, beta, xi):
+    """The Atiyah-Bott sum above over s in {0,1}^len(parts), before the 1/prod e_v!."""
+    total = Fraction(0)
+    for s in product((0, 1), repeat=len(parts)):
+        ones = sum(p for p, bit in zip(parts, s) if bit)
         tau = 1
         for bit in s:
             tau *= beta - alpha if bit else alpha - beta
@@ -50,7 +51,26 @@ def localized(lam, d, alpha, beta, xi=0):
                 if i != r:
                     den *= (i - r) * (alpha - beta)
             total += Fraction(num, den)
-    return total / lam.multiplicity_factorial()
+    return total
+
+
+def localized(lam, d, alpha, beta, xi=0):
+    """The Atiyah-Bott sum above, exactly, at integer weights."""
+    return (_fixed_point_sum(lam.parts, lam.weight, d, alpha, beta, xi)
+            / lam.multiplicity_factorial())
+
+
+def localized_incidence(lam, m, d, alpha, beta, xi=0):
+    """The incidence class of lam and its part m at (zeta, eta) = (alpha, beta).
+
+    The peeled root, one part equal to m, is fixed at s = 0 with its tau
+    factor left out; the other parts run over {0,1} as in localized, n
+    still counts lam's whole weight, and the sum is divided by the
+    multiplicity factorial of lam without the peeled part.
+    """
+    sub = lam.remove_one(m)
+    return (_fixed_point_sum(sub.parts, lam.weight, d, alpha, beta, xi)
+            / sub.multiplicity_factorial())
 
 
 def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
@@ -143,3 +163,23 @@ def test_localization_matches_the_class_through_weight_20():
                 assert at_point(roots, d, a=t, b=1) == want, (lam, d, t)
                 checked += 1
     assert checked == 2508
+
+
+def test_localization_matches_the_incidence_classes():
+    """The flag-root classes, fixed and universal, on all (lam, m) of weight <= 9."""
+    checked = 0
+    for lam in strata(9):
+        for m in sorted(set(lam.parts)):
+            universal = universal_incidence_class(lam, m, 5).poly
+            fixed = incidence_class(lam, m).poly
+            w = lam.weight
+            for d in (w, w + 1, 2 * w + 3):
+                for alpha, beta, xi in ((2, 3, 0), (5, -1, 0), (2, 3, 7), (-3, 4, 2)):
+                    want = localized_incidence(lam, m, d, alpha, beta, xi)
+                    got = at_point(universal, d, zeta=alpha, eta=beta, xi=xi)
+                    assert got == want, (lam, m, d, alpha, beta, xi)
+                    if not xi:
+                        got = at_point(fixed, d, zeta=alpha, eta=beta)
+                        assert got == want, (lam, m, d, alpha, beta)
+                    checked += 1
+    assert checked == 540

@@ -16,7 +16,7 @@ from rootstrata.partitions import MAX_WEIGHT, Partition, stratum_partitions
 from rootstrata.plucker import (asymptotic_plucker, degree_table,
                                 hyperflex_count, lines_on_hypersurface,
                                 mflex_coefficient, mflex_polynomial,
-                                plucker_point, plucker_table, zagier_lines)
+                                plucker_point, plucker_table)
 
 
 def strata(max_weight):
@@ -136,7 +136,6 @@ def test_lines_on_hypersurfaces():
     assert lines_on_hypersurface(3) == 27
     assert lines_on_hypersurface(4) == 2875
     for n in range(3, 8):
-        assert lines_on_hypersurface(n) == zagier_lines(n)
         assert lines_on_hypersurface(n) == (2 * n - 3) * hyperflex_count(n)
 
 
@@ -151,14 +150,13 @@ def test_closed_forms_refuse_degrees_above_the_weight_bound():
     refused = [lambda: mflex_coefficient(MAX_WEIGHT + 1, 0, 0),
                lambda: mflex_polynomial(900, 0),
                lambda: hyperflex_count(300),
-               lambda: zagier_lines(MAX_WEIGHT // 2 + 2),
                lambda: lines_on_hypersurface(300)]
     for call in refused:
         with pytest.raises(OutOfRange):
             call()
     assert mflex_coefficient(MAX_WEIGHT, 0, 0) == 1
     n = (MAX_WEIGHT + 3) // 2  # the largest n with 2n - 3 <= MAX_WEIGHT
-    assert zagier_lines(n) == (2 * n - 3) * hyperflex_count(n)
+    assert lines_on_hypersurface(n) == (2 * n - 3) * hyperflex_count(n)
 
 
 def test_degree_rule_and_asymptotics_hold_through_weight_20():

@@ -11,8 +11,7 @@ from rootstrata.errors import NotSymmetric
 from rootstrata.multipoly import MultiPoly
 from rootstrata.schur import (SchurExpansion, chern_to_schur,
                               complete_h_expand, divided_difference,
-                              h_roots, schur_expand, schur_to_chern,
-                              schur_to_roots)
+                              h_roots, schur_expand, schur_to_chern)
 
 A = MultiPoly.variable("a")
 B = MultiPoly.variable("b")
@@ -76,11 +75,9 @@ def test_straightening_rule():
         for i in range(m + 1):
             got = divided_difference(A ** i * B ** (m - i))
             if 2 * i < m:
-                wanted = schur_to_roots(
-                    SchurExpansion({(m - i - 1, i): Fraction(1)}))
+                wanted = SchurExpansion({(m - i - 1, i): Fraction(1)}).to_roots()
             elif 2 * i > m:
-                wanted = -schur_to_roots(
-                    SchurExpansion({(i - 1, m - i): Fraction(1)}))
+                wanted = -SchurExpansion({(i - 1, m - i): Fraction(1)}).to_roots()
             else:
                 wanted = MultiPoly.zero()
             assert got == wanted, (m, i)
@@ -94,7 +91,7 @@ def test_h_roots():
 def test_schur_expand_round_trip():
     e = SchurExpansion({(3, 1): Fraction(2), (2, 2): Fraction(-1, 2),
                         (4, 0): Fraction(5)})
-    assert schur_expand(schur_to_roots(e)) == e
+    assert schur_expand(e.to_roots()) == e
 
 
 @given(st.dictionaries(
@@ -103,7 +100,7 @@ def test_schur_expand_round_trip():
 @settings(max_examples=40, deadline=None)
 def test_schur_expand_round_trip_random(entries):
     e = SchurExpansion(dict(entries))
-    assert schur_expand(schur_to_roots(e)) == e
+    assert schur_expand(e.to_roots()) == e
 
 
 def test_schur_expand_rejects_asymmetric_input():
