@@ -19,8 +19,8 @@ from .flagcalc import (FlagClass, GrassClass, ProjClass,
                        q_push, tangency_class_resolution)
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, stratum_partitions, validate_stratum
-from .plucker import (AsymptoticTable, PluckerTable, asymptotic_plucker,
-                      degree_table, hyperflex_count, lines_on_hypersurface,
+from .plucker import (PluckerTable, asymptotic_plucker, degree_table,
+                      hyperflex_count, lines_on_hypersurface,
                       mflex_coefficient, mflex_polynomial, plucker_point,
                       plucker_table)
 from .schur import (SchurExpansion, chern_to_schur, complete_h_expand,
@@ -31,7 +31,7 @@ from .universal import (UniversalClass, hilbert_degree, pencil_locus_class,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticTable", "CRSClass", "D", "DPoly", "DegreeMismatch",
+    "CRSClass", "D", "DPoly", "DegreeMismatch",
     "DegreeTooSmall", "FlagClass", "GrassClass", "InconsistentSamples",
     "InvalidPartition", "MultiPoly", "NotSymmetric", "OutOfRange",
     "Partition", "PluckerTable", "PolynomialityViolation",

@@ -66,8 +66,8 @@ class CRSClass:
     def coefficient(self, k, l):
         return self.expansion.coefficient(k, l)
 
-    def to_roots(self, x="a", y="b"):
-        return self.expansion.to_roots(x, y)
+    def to_roots(self):
+        return self.expansion.to_roots()
 
     def evaluate(self, d0):
         return self.expansion.evaluate_d(d0)

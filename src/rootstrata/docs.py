@@ -136,10 +136,6 @@ def emit_json(doc):
     return json.dumps(doc, sort_keys=True)
 
 
-def parse_json(text):
-    return json.loads(text)
-
-
 def emit_text(doc):
     cmd = doc["command"]
     if cmd == "selftest":

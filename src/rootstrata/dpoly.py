@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import index
 
@@ -221,14 +222,7 @@ class DPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = DPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return prod(repeat(self, n), start=DPoly((1,)))
 
     def __truediv__(self, other):
         """Exact quotient; a nonzero remainder raises PolynomialityViolation."""

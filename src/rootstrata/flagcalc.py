@@ -67,9 +67,6 @@ class GrassClass:
         self.expansion = expansion
         self.ambient_n = ambient_n
 
-    def coefficient(self, k, l):
-        return self.expansion.coefficient(k, l)
-
     def __eq__(self, other):
         if not isinstance(other, GrassClass):
             return NotImplemented

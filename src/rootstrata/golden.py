@@ -8,6 +8,7 @@ one from scratch; any mismatch means the library, not the corpus, is wrong.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from . import docs
@@ -365,8 +366,7 @@ def check_pencil_final():
     err = expect_str(got.poly, "(2*d^3 - d^2 - 21*d + 18)*zeta")
     if err:
         return err
-    coeff = next(iter(got.poly.coefficient("zeta", 1).terms.values()))
-    return expect(coeff, (D - 3) * P(-6, 5, 2))
+    return expect(got.coefficient(1), (D - 3) * P(-6, 5, 2))
 
 
 def check_doc_empty_class():
@@ -390,7 +390,7 @@ def check_doc_roundtrip():
     for doc in (docs.class_document((2, 2)), docs.plucker_document((3,)),
                 docs.flexlocus_document((3, 2), 2, 4),
                 docs.universal_document((2,))):
-        if docs.parse_json(docs.emit_json(doc)) != doc:
+        if json.loads(docs.emit_json(doc)) != doc:
             return f"round trip fails for {doc['command']}"
     return None
 

@@ -12,6 +12,8 @@ directly as (exponent tuple, DPoly) pairs.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import prod
 from operator import add, index
 
 from .dpoly import as_dpoly, is_scalar, joined, monomial
@@ -100,10 +102,6 @@ class MultiPoly:
     def variable(cls, name):
         return cls((name,), {(1,): 1})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -159,14 +157,7 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return prod(repeat(self, n), start=MultiPoly.scalar(1))
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -178,7 +169,7 @@ class MultiPoly:
     def coefficient(self, name, power):
         """Coefficient polynomial of name**power, with name removed."""
         if name not in self.variables:
-            return self if power == 0 else MultiPoly.zero()
+            return self if power == 0 else MultiPoly()
         i = self.variables.index(name)
         rest = self.variables[:i] + self.variables[i + 1:]
         return _build(rest, [(e[:i] + e[i + 1:], c)
@@ -292,7 +283,7 @@ def substitute_homogeneous(p, numerators, den):
         raise ValueError(f"no numerator given for {missing}")
     c = p.total_degree()
     last = p.variables[-1]
-    total = MultiPoly.zero()
+    total = MultiPoly()
     for t in range(c, -1, -1):
         total = total * numerators[last] + p.coefficient(last, t).substitute(numerators)
     shift = den ** c

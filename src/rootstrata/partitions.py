@@ -72,9 +72,6 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __bool__(self):
         return bool(self.parts)
 

@@ -49,28 +49,6 @@ class PluckerTable:
         return "\n".join(rows)
 
 
-class AsymptoticTable:
-    """Leading d-coefficients of a Pluecker table."""
-
-    __slots__ = ("partition", "entries")
-
-    def __init__(self, partition, entries):
-        self.partition = partition
-        self.entries = tuple(entries)
-
-    def value(self, i):
-        for j, c in self.entries:
-            if j == i:
-                return c
-        raise KeyError(f"no entry at i = {i} for {self.partition}")
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self):
-        return "\n".join(f"apl_{{{self.partition},{i}}} = {c}" for i, c in self.entries)
-
-
 def plucker_table(lam):
     """All counting polynomials of a pattern, read off the stratum class."""
     lam = validate_stratum(lam)
@@ -114,7 +92,7 @@ def degree_table(lam):
 
 
 def asymptotic_plucker(lam):
-    """Limits of Pl / d^{|lam|}: Kostka numbers over multiplicities."""
+    """Limits of Pl / d^{|lam|}: Kostka numbers over multiplicities, as (i, value) pairs."""
     lam = validate_stratum(lam)
     codim = lam.codim
     nu = lam.reduction().parts
@@ -123,7 +101,7 @@ def asymptotic_plucker(lam):
     for j in range(codim // 2 + 1):
         k = kostka((codim - j, j), nu)
         entries.append((codim - 2 * j, k * scale))
-    return AsymptoticTable(lam, entries)
+    return tuple(entries)
 
 
 def _check_degree(d):

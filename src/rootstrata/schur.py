@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 from .dpoly import ZERO, as_dpoly, joined
 from .errors import NotSymmetric
-from .multipoly import MultiPoly, _build, _ordered, _widen, as_multipoly
+from .multipoly import MultiPoly, _build, _widen, as_multipoly
 
 
 def divided_difference(p, x="a", y="b"):
@@ -69,15 +69,6 @@ class SchurExpansion:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for kl, c in other.coeffs.items():
-            out[kl] = out.get(kl, ZERO) + c
-        return SchurExpansion(out)
-
-    def __sub__(self, other):
-        return self + other.map_coefficients(lambda c: -c)
-
     def __mul__(self, scalar):
         return self.map_coefficients(lambda c: c * scalar)
 
@@ -93,14 +84,10 @@ class SchurExpansion:
         """Drop every s_{k,l} with k above kmax."""
         return SchurExpansion({kl: c for kl, c in self.coeffs.items() if kl[0] <= kmax})
 
-    def to_roots(self, x="a", y="b"):
-        """Rewrite as a plain polynomial in the two roots."""
-        names = _ordered((x, y))
-        if len(names) != 2:
-            raise ValueError("repeated variable name")
-        # each h_{k,l} is symmetric, so the order of x and y does not matter
-        return _build(names, [((l + t, k - t), c) for (k, l), c in self.coeffs.items()
-                              for t in range(k - l + 1)])
+    def to_roots(self):
+        """Rewrite as a plain polynomial in the two roots a, b."""
+        return _build(("a", "b"), [((l + t, k - t), c) for (k, l), c in self.coeffs.items()
+                                   for t in range(k - l + 1)])
 
     def __str__(self):
         return joined((c.spelled()[0] if c.degree <= 0 else f"({c})",
@@ -126,11 +113,11 @@ def schur_expand(p, x="a", y="b"):
         for n in {i + j for i, j in terms} for j in range(n // 2 + 1)})
 
 
-def h_roots(r, x="a", y="b"):
-    """Complete homogeneous piece of degree r in two roots."""
+def h_roots(r):
+    """Complete homogeneous piece of degree r in the two roots a, b."""
     if r < 0:
-        return MultiPoly.zero()
-    return MultiPoly((x, y), {(t, r - t): 1 for t in range(r + 1)})
+        return MultiPoly()
+    return MultiPoly(("a", "b"), {(t, r - t): 1 for t in range(r + 1)})
 
 
 def _h_chern(r):

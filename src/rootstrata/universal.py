@@ -98,4 +98,4 @@ def pencil_locus_class(lam, m, n):
     """
     slices = _xi_slices(incidence_class(lam, m).poly, "eta", "zeta")
     next(slices, None)
-    return q_push(FlagClass(next(slices, MultiPoly.zero()), n))
+    return q_push(FlagClass(next(slices, MultiPoly()), n))

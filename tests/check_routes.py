@@ -1,13 +1,15 @@
-"""Compare the three routes to each stratum class up to a weight.
+"""Compare the other routes to each stratum class up to a weight.
 
 Usage: PYTHONPATH=src python tests/check_routes.py <max_weight>
 
 For every stratum of weight w <= max_weight, the symbolic class
 crs_class must equal the per-d route (crs_class_at at d = w .. 2w + 1,
-interpolated to degree w, the extra point a consistency check) and the
+interpolated to degree w, the extra point a consistency check), the
 resolution route (tangency_class_resolution through the incidence
-variety, ambient space just large enough).  The first failure exits 1
-with one line; a pass prints the number of strata checked.
+variety, ambient space just large enough) and, in the roots, torus
+localization (localized_by_subset_sums at d = w and 2w + 3, a = 2 and 3,
+b = 1).  The first failure exits 1 with one line; a pass prints the
+number of strata checked.
 The file is named so that pytest does not collect it.
 """
 
@@ -17,7 +19,8 @@ from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.dpoly import interpolate
 from rootstrata.errors import RootStrataError
 from rootstrata.flagcalc import tangency_class_resolution
-from rootstrata.partitions import stratum_partitions
+from strata_sweep import main
+from test_localization import at_point, localized_by_subset_sums
 
 
 def failure(lam):
@@ -37,25 +40,15 @@ def failure(lam):
         return f"{lam}: {type(exc).__name__}: {exc}"
     if resolved != symbolic:
         return f"{lam}: resolution route gives {resolved}, symbolic {symbolic}"
+    roots = symbolic.to_roots()
+    for d in (lam.weight, 2 * lam.weight + 3):
+        for a in (2, 3):
+            want = localized_by_subset_sums(lam, d, a, 1)
+            got = at_point(roots, d, a=a, b=1)
+            if got != want:
+                return f"{lam}: localization at d={d}, a={a} gives {want}, symbolic {got}"
     return None
 
 
-def main(argv):
-    if len(argv) != 1 or not argv[0].isdigit():
-        print("usage: check_routes.py <max_weight>", file=sys.stderr)
-        return 2
-    max_weight = int(argv[0])
-    count = 0
-    for w in range(max_weight + 1):
-        for lam in stratum_partitions(w):
-            line = failure(lam)
-            if line:
-                print(f"FAIL {line}")
-                return 1
-            count += 1
-    print(f"ok: {count} strata of weight <= {max_weight}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(failure, sys.argv[1:]))

@@ -13,8 +13,8 @@ The file is named so that pytest does not collect it.
 import sys
 
 from rootstrata.errors import RootStrataError
-from rootstrata.partitions import stratum_partitions
 from rootstrata.plucker import asymptotic_plucker, degree_table, plucker_table
+from strata_sweep import main
 
 
 def failure(lam):
@@ -37,22 +37,5 @@ def failure(lam):
     return None
 
 
-def main(argv):
-    if len(argv) != 1 or not argv[0].isdigit():
-        print("usage: check_theorems.py <max_weight>", file=sys.stderr)
-        return 2
-    max_weight = int(argv[0])
-    count = 0
-    for w in range(max_weight + 1):
-        for lam in stratum_partitions(w):
-            line = failure(lam)
-            if line:
-                print(f"FAIL {line}")
-                return 1
-            count += 1
-    print(f"ok: {count} strata of weight <= {max_weight}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(failure, sys.argv[1:]))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -146,6 +147,33 @@ def test_selftest_json(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def _readme_block_after(heading):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(heading, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_commands_run(capsys):
+    """The README's command lines run, print the counts their comments quote, and its JSON holds."""
+    ran, counts = 0, 0
+    for line in _readme_block_after("## Command line").splitlines():
+        command, _, comment = line.partition("#")
+        argv = command.split()
+        assert argv[0] == "rootstrata", line
+        code, out, _ = run(capsys, *argv[1:])
+        assert code == 0 and out, line
+        ran += 1
+        quoted = comment.split()[0]
+        if quoted.isdigit():
+            assert out.splitlines()[-1] == quoted, line
+            counts += 1
+    assert (ran, counts) == (13, 2)
+    prompt, example = _readme_block_after("Example JSON document:").split("\n", 1)
+    argv = prompt.split()
+    assert argv[:2] == ["$", "rootstrata"], prompt
+    code, out, _ = run(capsys, *argv[2:])
+    assert code == 0 and json.loads(example) == json.loads(out)
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "class")[0] == 2
     assert run(capsys, "nonsense", "2")[0] == 2
@@ -169,7 +197,7 @@ def test_json_round_trip_through_the_emitters():
     for doc in (docs.class_document((3, 2)), docs.plucker_document((2, 2)),
                 docs.incidence_document((2, 2), 2),
                 docs.pencil_document((2, 2), 2, 3)):
-        assert docs.parse_json(docs.emit_json(doc)) == doc
+        assert json.loads(docs.emit_json(doc)) == doc
 
 
 def documents(max_weight):
@@ -229,7 +257,7 @@ def test_text_heading_and_first_row_of_every_command(capsys, argv, head):
 def test_text_does_not_depend_on_the_key_order_of_the_rows():
     """JSON sorts the keys, so a label read in row order would change here."""
     for doc in documents(6):
-        assert docs.emit_text(docs.parse_json(docs.emit_json(doc))) == docs.emit_text(doc)
+        assert docs.emit_text(json.loads(docs.emit_json(doc))) == docs.emit_text(doc)
 
 
 def test_text_values_match_the_fraction_spelling():

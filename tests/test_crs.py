@@ -21,17 +21,11 @@ from rootstrata.dpoly import (D, DPoly, _canonical, common_numerators,
                               interpolate, pseudo_divmod, taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.multipoly import MultiPoly
-from rootstrata.partitions import Partition, stratum_partitions
+from rootstrata.partitions import Partition
 from rootstrata.schur import SchurExpansion, divided_difference, schur_expand
 from rootstrata.universal import universal_class
+from strata_sweep import strata
 from test_schur import strip_expand
-
-
-def strata(max_weight):
-    out = []
-    for w in range(max_weight + 1):
-        out.extend(stratum_partitions(w))
-    return out
 
 
 def test_empty_partition_is_the_unit():
@@ -385,6 +379,15 @@ def test_route_check_passes_at_weight_6():
         0, "ok: 11 strata of weight <= 6\n", "")
 
 
+@pytest.mark.parametrize("argv", [[], ["x"]])
+@pytest.mark.parametrize("script", ["check_routes.py", "check_theorems.py"])
+def test_check_scripts_print_the_usage_line_without_a_weight(script, argv):
+    proc = subprocess.run([sys.executable, str(CHECK_ROUTES.with_name(script)), *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"usage: {script} <max_weight>\n")
+
+
 def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("check_routes", CHECK_ROUTES)
     script = importlib.util.module_from_spec(spec)
@@ -398,7 +401,7 @@ def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch
         return cls
 
     monkeypatch.setattr(script, "tangency_class_resolution", doubled_at_weight_4)
-    assert script.main(["6"]) == 1
+    assert script.main(script.failure, ["6"]) == 1
     symbolic = crs_class((4,)).expansion
     assert capsys.readouterr().out == (
         f"FAIL (4): resolution route gives {symbolic * 2}, symbolic {symbolic}\n")
@@ -407,7 +410,19 @@ def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch
         return crs_class_at(lam, d0) * (2 if lam.weight == 3 else 1)
 
     monkeypatch.setattr(script, "crs_class_at", doubled_at_weight_3)
-    assert script.main(["6"]) == 1
+    assert script.main(script.failure, ["6"]) == 1
     want = crs_class((3,)).coefficient(1, 1)
     assert capsys.readouterr().out == (
         f"FAIL (3): per-d route gives s_{{1,1}} = {want * 2}, symbolic {want}\n")
+
+    monkeypatch.undo()
+    localize = script.localized_by_subset_sums
+
+    def doubled_at_weight_2(lam, d, alpha, beta):
+        return localize(lam, d, alpha, beta) * (2 if lam.weight == 2 else 1)
+
+    monkeypatch.setattr(script, "localized_by_subset_sums", doubled_at_weight_2)
+    assert script.main(script.failure, ["6"]) == 1
+    want = localize(Partition((2,)), 2, 2, 1)
+    assert capsys.readouterr().out == (
+        f"FAIL (2): localization at d=2, a=2 gives {want * 2}, symbolic {want}\n")

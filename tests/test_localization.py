@@ -22,15 +22,8 @@ from math import comb, factorial
 
 from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.flagcalc import incidence_class
-from rootstrata.partitions import stratum_partitions
 from rootstrata.universal import universal_class, universal_incidence_class
-
-
-def strata(max_weight):
-    out = []
-    for w in range(max_weight + 1):
-        out.extend(stratum_partitions(w))
-    return out
+from strata_sweep import strata
 
 
 def _fixed_point_sum(parts, w, d, alpha, beta, xi):
@@ -73,22 +66,22 @@ def localized_incidence(lam, m, d, alpha, beta, xi=0):
             / sub.multiplicity_factorial())
 
 
-def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
-    """The same sum, grouped by the number j of ones in s and the sum of their parts.
+def _grouped_sum(parts, w, d, alpha, beta, xi):
+    """_fixed_point_sum grouped by the number j of ones in s and the sum of their parts.
 
     tau over s is (-1)^j (alpha - beta)^k and n sees s only through that
     sum, so a subset-sum count over the parts replaces the 2^k terms.  The
     r-th denominator is (-1)^r r! (e - r)! (alpha - beta)^e with e = d - w,
     and each numerator leaves one factor out: a prefix times a suffix product.
     """
-    k, e = len(lam), d - lam.weight
+    k, e = len(parts), d - w
     factors = [i * alpha + (d - i) * beta + xi for i in range(d + 1)]
     prefix, suffix = [1], [1]
     for f, g in zip(factors, reversed(factors)):
         prefix.append(prefix[-1] * f)
         suffix.append(suffix[-1] * g)
     counts = {(0, 0): 1}  # (j, sum over the ones): how many s
-    for p in lam.parts:
+    for p in parts:
         grown = dict(counts)
         for (j, ones), c in counts.items():
             grown[j + 1, ones + p] = grown.get((j + 1, ones + p), 0) + c
@@ -98,8 +91,20 @@ def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
         for r in range(e + 1):
             n = r + ones
             total += (-1) ** (j + r) * c * comb(e, r) * prefix[n] * suffix[d - n]
-    return Fraction(total, factorial(e) * (alpha - beta) ** (k + e)
-                    * lam.multiplicity_factorial())
+    return Fraction(total, factorial(e) * (alpha - beta) ** (k + e))
+
+
+def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
+    """localized, summed by subset sums of the parts."""
+    return (_grouped_sum(lam.parts, lam.weight, d, alpha, beta, xi)
+            / lam.multiplicity_factorial())
+
+
+def localized_incidence_by_subset_sums(lam, m, d, alpha, beta, xi=0):
+    """localized_incidence, summed by subset sums of the parts."""
+    sub = lam.remove_one(m)
+    return (_grouped_sum(sub.parts, lam.weight, d, alpha, beta, xi)
+            / sub.multiplicity_factorial())
 
 
 def at_point(poly, d, **point):
@@ -148,7 +153,14 @@ def test_subset_sums_match_the_plain_sum():
                 want = localized(lam, d, t, 1, x)
                 assert localized_by_subset_sums(lam, d, t, 1, x) == want, (lam, d, t, x)
                 checked += 1
-    assert checked == 420
+        for m in sorted(set(lam.parts)):
+            for d in (w, w + 1, 2 * w + 3):
+                for alpha, beta, xi in ((2, 3, 0), (5, -1, 0), (-3, 4, 2)):
+                    want = localized_incidence(lam, m, d, alpha, beta, xi)
+                    got = localized_incidence_by_subset_sums(lam, m, d, alpha, beta, xi)
+                    assert got == want, (lam, m, d, alpha, beta, xi)
+                    checked += 1
+    assert checked == 420 + 171
 
 
 def test_localization_matches_the_class_through_weight_20():
@@ -183,3 +195,23 @@ def test_localization_matches_the_incidence_classes():
                         assert got == want, (lam, m, d, alpha, beta)
                     checked += 1
     assert checked == 540
+
+
+def test_grouped_localization_matches_the_incidence_classes_through_weight_14():
+    """The flag-root classes on all 272 (lam, m) of weight <= 14, by subset sums."""
+    checked = 0
+    for lam in strata(14):
+        for m in sorted(set(lam.parts)):
+            universal = universal_incidence_class(lam, m, 5).poly
+            fixed = incidence_class(lam, m).poly
+            w = lam.weight
+            for d in (w, 2 * w + 3):
+                for alpha, beta, xi in ((2, 3, 0), (-3, 4, 2)):
+                    want = localized_incidence_by_subset_sums(lam, m, d, alpha, beta, xi)
+                    got = at_point(universal, d, zeta=alpha, eta=beta, xi=xi)
+                    assert got == want, (lam, m, d, alpha, beta, xi)
+                    if not xi:
+                        got = at_point(fixed, d, zeta=alpha, eta=beta)
+                        assert got == want, (lam, m, d, alpha, beta)
+                    checked += 1
+    assert checked == 1088

@@ -169,7 +169,7 @@ def test_substitute_homogeneous_matches_the_reference(case):
 
 
 def test_substitute_homogeneous_constant_and_inexact_cases():
-    for const in (MultiPoly.zero(), MultiPoly.scalar(D - 5)):
+    for const in (MultiPoly(), MultiPoly.scalar(D - 5)):
         assert substitute_homogeneous(const, {}, D) == const
         assert substitute_then_divide(const, {}, D) == const
     # (a*d + 1)(b*d) / d^2 = a*b + b/d leaves a remainder in the b term
@@ -208,7 +208,7 @@ def test_terms_that_cancel_drop_out():
 
 
 def test_division_by_zero_raises_zero_denominator():
-    for p in (A * D + B, MultiPoly.scalar(3), MultiPoly.zero()):
+    for p in (A * D + B, MultiPoly.scalar(3), MultiPoly()):
         for zero in (0, Fraction(0), DPoly()):
             with pytest.raises(ZeroDenominator):
                 p / zero

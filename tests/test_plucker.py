@@ -12,18 +12,12 @@ from rootstrata.combinat import kostka
 from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import OutOfRange
-from rootstrata.partitions import MAX_WEIGHT, Partition, stratum_partitions
+from rootstrata.partitions import MAX_WEIGHT, Partition
 from rootstrata.plucker import (asymptotic_plucker, degree_table,
                                 hyperflex_count, lines_on_hypersurface,
                                 mflex_coefficient, mflex_polynomial,
                                 plucker_point, plucker_table)
-
-
-def strata(max_weight):
-    out = []
-    for w in range(max_weight + 1):
-        out.extend(stratum_partitions(w))
-    return out
+from strata_sweep import strata
 
 
 def test_tables_match_class_coefficients():
@@ -219,6 +213,6 @@ def test_theorem_check_reports_a_wrong_leading_term_in_one_line(capsys, monkeypa
         return [(i, v + (lam.weight == 6)) for i, v in asymptotic_plucker(lam)]
 
     monkeypatch.setattr(script, "asymptotic_plucker", off_by_one_at_weight_6)
-    assert script.main(["8"]) == 1
+    assert script.main(script.failure, ["8"]) == 1
     out = capsys.readouterr().out
     assert out == "FAIL (6): leading d^6 coefficient of Pl_5 is 1, not 2\n"

@@ -79,7 +79,7 @@ def test_straightening_rule():
             elif 2 * i > m:
                 wanted = -SchurExpansion({(i - 1, m - i): Fraction(1)}).to_roots()
             else:
-                wanted = MultiPoly.zero()
+                wanted = MultiPoly()
             assert got == wanted, (m, i)
 
 
