@@ -5,8 +5,10 @@ Usage: PYTHONPATH=src python tests/check_theorems.py <max_weight>
 For every stratum of weight w <= max_weight: degree_table's drop rule
 holds, each leading d-coefficient of the Pluecker table is the Kostka
 value asymptotic_plucker gives (0 where the degree drops), and the table
-takes integer values at d = w, w + 1 and 2w + 3.  The first failure
-exits 1 with one line; a pass prints the number of strata checked.
+takes integer values at d = w, w + 1 and 2w + 3, and hilbert_degree is
+Hilbert's degree formula (hilbert_formula in tests/test_universal.py).
+The first failure exits 1 with one line; a pass prints the number of
+strata checked.
 The file is named so that pytest does not collect it.
 """
 
@@ -14,7 +16,9 @@ import sys
 
 from rootstrata.errors import RootStrataError
 from rootstrata.plucker import asymptotic_plucker, degree_table, plucker_table
+from rootstrata.universal import hilbert_degree
 from strata_sweep import main
+from test_universal import hilbert_formula
 
 
 def failure(lam):
@@ -34,6 +38,9 @@ def failure(lam):
         for i, v in table.evaluate(d0):
             if v.denominator != 1:
                 return f"{lam}: Pl_{i} at d={d0} is {v}, not an integer"
+    got, want = hilbert_degree(lam), hilbert_formula(lam)
+    if got != want:
+        return f"{lam}: hilbert_degree is {got}, Hilbert's formula gives {want}"
     return None
 
 

@@ -17,8 +17,8 @@ from rootstrata.crs import (CRSClass, _level, _pack, _peel, _schur_readout,
                             crs_class, crs_class_at, crs_class_peeled,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
-from rootstrata.dpoly import (D, DPoly, _canonical, common_numerators,
-                              interpolate, pseudo_divmod, taylor_shift)
+from rootstrata.dpoly import (DPoly, _canonical, common_numerators, pseudo_divmod,
+                              taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition
@@ -36,14 +36,6 @@ def test_empty_partition_is_the_unit():
 def test_rejects_parts_below_two():
     with pytest.raises(InvalidPartition):
         crs_class((2, 1))
-
-
-def test_golden_small_classes():
-    two = crs_class((2,)).expansion
-    assert two == SchurExpansion({(1, 0): D * (D - 1)})
-    three = crs_class((3,)).expansion
-    assert three == SchurExpansion({(2, 0): D * (D - 1) * (D - 2),
-                                    (1, 1): 3 * D * (D - 2)})
 
 
 def test_codim_and_degree_shape():
@@ -75,17 +67,9 @@ def test_weighted_product_small():
     assert wp.variables == ("a", "b")
 
 
-def test_integer_specialization_matches_symbolic():
-    cases = [(lam, d0) for lam in strata(7) for d0 in range(lam.weight, lam.weight + 4)]
-    # at the weight bound: the longest chain of parts and the widest part
-    cases += [(Partition((2,) * 50), 100), (Partition((10,) * 10), 101)]
-    for lam, d0 in cases:
-        assert crs_class_at(lam, d0) == crs_class(lam).evaluate(d0), (lam, d0)
-
-
-def test_per_d_route_reads_no_polynomial_layer(monkeypatch):
-    """crs_class_at works on integer rows alone, apart from every symbolic layer."""
-    cases = [(lam, d0) for lam in strata(8) for d0 in (lam.weight, lam.weight + 3)]
+def _assert_per_d_route_matches_symbolic(monkeypatch, cases):
+    """crs_class_at equals the symbolic class evaluated at d, working on integer
+    rows alone, apart from every symbolic layer."""
     want = [crs_class(lam).evaluate(d0) for lam, d0 in cases]
 
     def used(*args, **kwargs):
@@ -97,19 +81,20 @@ def test_per_d_route_reads_no_polynomial_layer(monkeypatch):
     for name in ("substitute", "__mul__", "evaluate_d"):
         monkeypatch.setattr(MultiPoly, name, used)
     monkeypatch.setattr(SchurExpansion, "to_roots", used)
-    assert [crs_class_at(lam, d0) for lam, d0 in cases] == want
+    for (lam, d0), wanted in zip(cases, want):
+        assert crs_class_at(lam, d0) == wanted, (lam, d0)
 
 
-def test_interpolation_reconstructs_symbolic():
-    """Enough per-integer evaluations pin down each coefficient."""
-    for lam in strata(6):
-        cls = crs_class(lam)
-        lo = lam.weight
-        points = range(lo, lo + lam.weight + 2)
-        per_d = {d0: crs_class_at(lam, d0) for d0 in points}
-        for kl in cls.expansion.indices():
-            samples = [(d0, per_d[d0].coefficient(*kl)) for d0 in points]
-            assert interpolate(samples, lam.weight) == cls.coefficient(*kl)
+def test_integer_specialization_matches_symbolic(monkeypatch):
+    # at the weight bound: the longest chain of parts and the widest part
+    _assert_per_d_route_matches_symbolic(
+        monkeypatch, [(Partition((2,) * 50), 100), (Partition((10,) * 10), 101)])
+
+
+def test_per_d_route_reads_no_polynomial_layer(monkeypatch):
+    _assert_per_d_route_matches_symbolic(
+        monkeypatch,
+        [(lam, d0) for lam in strata(8) for d0 in range(lam.weight, lam.weight + 4)])
 
 
 def test_specialization_below_weight_fails():
@@ -411,9 +396,9 @@ def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch
 
     monkeypatch.setattr(script, "crs_class_at", doubled_at_weight_3)
     assert script.main(script.failure, ["6"]) == 1
-    want = crs_class((3,)).coefficient(1, 1)
+    want = crs_class((3,)).coefficient(1, 1)(3)
     assert capsys.readouterr().out == (
-        f"FAIL (3): per-d route gives s_{{1,1}} = {want * 2}, symbolic {want}\n")
+        f"FAIL (3): per-d route at d=3 gives s_{{1,1}} = {want * 2}, symbolic {want}\n")
 
     monkeypatch.undo()
     localize = script.localized_by_subset_sums

@@ -12,7 +12,9 @@ from rootstrata.flagcalc import (FlagClass, GrassClass, ProjClass,
                                  flex_point_locus_class, incidence_class,
                                  p_push, q_push, tangency_class_resolution)
 from rootstrata.multipoly import MultiPoly
+from rootstrata.plucker import plucker_table
 from rootstrata.schur import SchurExpansion
+from rootstrata.universal import pencil_locus_class, universal_incidence_class
 from strata_sweep import strata
 
 ZETA = MultiPoly.variable("zeta")
@@ -164,6 +166,63 @@ def test_flex_point_loci_golden():
     assert got.coefficient(2) == D * (D - 4) * (3 * D ** 2 + 5 * D - 24)
     got = flex_point_locus_class((3, 2), 2, 4)
     assert got.coefficient(2) == D * (D - 2) * (D - 4) * (D ** 2 + 2 * D + 12)
+
+
+def test_plucker_flex_count():
+    """Flexes of a plane curve of degree d.
+
+    Pluecker, Theorie der algebraischen Curven (1839): a smooth plane curve
+    of degree d has 3d(d - 2) flexes.
+    """
+    assert flex_point_locus_class((3,), 3, 3).coefficient(2) == 3 * D * (D - 2)
+
+
+def test_plucker_bitangent_contact_points():
+    """Contact points of the bitangents of a plane curve of degree d.
+
+    Pluecker, Theorie der algebraischen Curven (1839): a smooth plane curve
+    of degree d has d(d - 2)(d - 3)(d + 3)/2 bitangents; each touches at two
+    points.
+    """
+    got = flex_point_locus_class((2, 2), 2, 3).coefficient(2)
+    assert got == D * (D - 2) * (D - 3) * (D + 3)
+
+
+def test_salmon_flecnodal_curve_degree():
+    """The flecnodal curve of a surface of degree d in P^3.
+
+    Salmon, A Treatise on the Analytic Geometry of Three Dimensions: the
+    points with a line of four-point contact lie on the intersection of the
+    surface with a surface of degree 11d - 24, a curve of degree d(11d - 24).
+    """
+    assert flex_point_locus_class((4,), 4, 4).coefficient(2) == D * (11 * D - 24)
+
+
+def test_point_pushforward_matches_the_line_pushforward():
+    """A second route to q_push: by the projection formula the zeta^j
+    coefficient of q_*(I) over P^(n-1) is the integral of I*zeta^(n-1-j) over
+    the space of lines, the s_{n-2,n-2} coefficient of p_*(I*zeta^(n-1-j)).
+    A locus of codimension n - 1 is a finite set of points, lam.multiplicity(m)
+    on each line the Pluecker number Pl_{lam;0} counts."""
+    checked = points = 0
+    for lam in strata(8):
+        for m in sorted(set(lam.parts)):
+            flex = incidence_class(lam, m).poly
+            # the polynomial does not depend on the ambient n
+            pencil = universal_incidence_class(lam, m, 3).poly.coefficient("xi", 1)
+            for n in range(3, lam.codim + 4):
+                for push, inc in ((flex_point_locus_class, flex), (pencil_locus_class, pencil)):
+                    locus = push(lam, m, n)
+                    for j in range(n):
+                        lines = p_push(FlagClass(inc * ZETA ** (n - 1 - j), n))
+                        assert locus.coefficient(j) == lines.expansion.coefficient(n - 2, n - 2), (
+                            lam, m, n, j, push.__name__)
+                        checked += 1
+                if lam.codim == 2 * (n - 2):
+                    count = lam.multiplicity(m) * plucker_table(lam).polynomial(0)
+                    assert flex_point_locus_class(lam, m, n).coefficient(n - 1) == count, (lam, m)
+                    points += 1
+    assert (checked, points) == (1758, 15)
 
 
 def test_flex_point_locus_single_tangency_is_the_curve():

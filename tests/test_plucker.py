@@ -216,3 +216,15 @@ def test_theorem_check_reports_a_wrong_leading_term_in_one_line(capsys, monkeypa
     assert script.main(script.failure, ["8"]) == 1
     out = capsys.readouterr().out
     assert out == "FAIL (6): leading d^6 coefficient of Pl_5 is 1, not 2\n"
+
+    # the Hilbert leg reports the same way
+    monkeypatch.undo()
+    hilbert = script.hilbert_degree
+
+    def doubled_at_weight_3(lam):
+        return hilbert(lam) * (2 if lam.weight == 3 else 1)
+
+    monkeypatch.setattr(script, "hilbert_degree", doubled_at_weight_3)
+    assert script.main(script.failure, ["6"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL (3): hilbert_degree is {6 * D - 12}, Hilbert's formula gives {3 * D - 6}\n")

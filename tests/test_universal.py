@@ -1,6 +1,7 @@
 """Classes twisted by the hyperplane class of a moving hypersurface."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -9,11 +10,25 @@ from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import InvalidPartition
 from rootstrata.flagcalc import FlagClass, incidence_class, q_push
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
+from rootstrata.partitions import Partition
 from rootstrata.schur import schur_expand
 from rootstrata.universal import (hilbert_degree, pencil_locus_class,
                                   universal_class,
                                   universal_incidence_class)
 from strata_sweep import strata
+
+
+def hilbert_formula(lam):
+    """Hilbert's degree of the stratum in the space of degree-d forms.
+
+    D. Hilbert, Ueber die Singularitaeten der Diskriminantenflaeche, Math.
+    Ann. 30 (1887): pad lam with d - w ones; the locus has degree
+    (prod lam_i / prod e_v!) (d - w + 1)(d - w + 2)...(d - w + k), where
+    k = len(lam) and the e_v are the multiplicities of the parts.
+    """
+    parts, w = lam.parts, lam.weight
+    top = Fraction(prod(parts), prod(factorial(parts.count(v)) for v in set(parts)))
+    return top * prod(D - w + i for i in range(1, len(parts) + 1))
 
 
 def _shift_by_substitution(poly, x, y):
@@ -71,6 +86,12 @@ def test_hilbert_degrees():
     assert hilbert_degree((3,))(3) == 3
     # discriminant hypersurface degree for plane conics
     assert hilbert_degree((2,))(2) == 2
+
+
+@pytest.mark.parametrize("parts", [(10,) * 10, (50, 50), (7,) * 14 + (2,)])
+def test_hilbert_formula_at_the_weight_bound(parts):
+    lam = Partition(parts)
+    assert hilbert_degree(lam) == hilbert_formula(lam)
 
 
 def test_universal_incidence_restricts_to_incidence():
