@@ -6,18 +6,24 @@ the Schur basis s_{k,l} of the symmetric functions of the two Chern
 roots, with coefficients that are polynomials in d; crs_class computes
 it by peeling one largest part per level.
 
-crs_class_peeled runs each level in e = d - m, where the twist divides
-row i by e^i.  Each e-polynomial of a row is one int, its value at
-e = 2^B with signed digits (Kronecker substitution): d^j is (v << B) + m*v
-per power, an Euler factor gives i*prev + (cur << B) + (m - i)*cur, and
-e^i divides v exactly when its low i*B bits are zero.  Masks and digits
-are exact while every e-coefficient stays below 2^(B-1).  For rows of
-numerators at most R, the weights C(n-j, i-j) m^(i-j) (1+m)^j of a twisted
-row sum to (1+m)^i C(n+1, i) <= (1+m)^n 2^n at most, those of the Euler
-product to (m+1)^m, and a Schur coefficient is a difference of two rows:
-B = bitlength(R (m+1)^(n+m)) + n + 2 puts 2^(B-1) above
-R (1+m)^n 2^n (m+1)^m 2.  Horner's rule in a base wider by (1+m)^digits
-takes each readout back to d.  _peel does the same step on MultiPoly
+crs_class_peeled runs each level on integer rows: row j, at a^j b^(n - j),
+lists the e-coefficients of the smaller class, e = d - m.  In the basis
+(b - a)^k a^(n - k) they are g_k = sum of C(n - j, k) rows[j], and the twist
+(a to x*d / e, b - a to y - x) gives the sum of g_k d^(n-k) / e^(n-k) times
+x^(n-k) (y - x)^k: polynomial exactly when each g_k starts with n - k zeros.
+The rest runs at d = 2^W, one int per polynomial with signed digits
+(Kronecker substitution): a quotient packs at e = 2^W - m and shifts by
+(n - k)*W for d^(n - k), an Euler factor gives i*(prev - cur) + (cur << W),
+and the digits of a Schur coefficient are its d-coefficients while each
+stays below 2^(W-1).  For numerators at most R, width to a row, the weights
+C(n-j, i-j) m^(i-j) (1+m)^j of twisted row i over e^i sum to at most
+(1+m)^i C(n+1, i) <= (1+m)^n 2^n, those of the Euler product to (m+1)^m,
+and a Schur coefficient is a difference of two rows: its at most width + m
+e-coefficients stay below R (1+m)^n 2^n (m+1)^m 2 < 2^(B-1) for
+B = bitlength(R (m+1)^(n+m)) + n + 2.  A d-coefficient sums them times
+C(j, t) (-m)^(j-t) over j < width + m, weights that sum to less than
+(1+m)^(width+m), so it stays below 2^(W-1) for
+W = B + bitlength((m+1)^(width+m)).  _peel does the same step on MultiPoly
 terms for the flag roots (eta, zeta); the resolution route recurses
 through it alone, so it cross-checks the packed level.  crs_class_at,
 the per-d route, shares none of this: it loops over rows of plain ints.
@@ -145,35 +151,26 @@ def crs_class_peeled(lam, m):
 def _level(rows, m, den):
     """Schur readout over den of the twisted rows times the Euler factors.
 
-    Twisted row i, a Taylor shift by m of the reversed d^j rows[j], is the
-    sum over j <= i of C(n - j, i - j) m^(i - j) d^j rows[j] over e^i.
+    Each g_k is a Taylor shift by 1 of a reversed column of the rows; the
+    twisted rows are the reversed Taylor shift by -1 of the packed quotients.
     """
-    n = len(rows) - 1
-    bits = (max(max(map(abs, nums)) for nums in rows)
-            * (m + 1) ** (n + m)).bit_length() + n + 2
+    n, width = len(rows) - 1, max(map(len, rows))
+    bits = ((max(max(map(abs, nums)) for nums in rows) * (m + 1) ** (n + m)).bit_length()
+            + n + 2 + ((m + 1) ** (width + m)).bit_length())
+    cols = [taylor_shift(col[::-1], 1) for col in zip_longest(*rows, fillvalue=0)]
     row = []
-    for j, nums in enumerate(rows):
-        v = _pack(nums, bits)
-        for _ in range(j):
-            v = (v << bits) + m * v
-        row.append(v)
-    row = taylor_shift(row[::-1], m)[::-1]
-    for i, v in enumerate(row):
-        if v & ((1 << i * bits) - 1):
-            raise PolynomialityViolation(f"(d - {m})**{i} does not divide the twisted "
-                                         f"coefficient of a^{i} b^{n - i}")
-        row[i] = v >> i * bits
+    for k, g in enumerate(zip(*cols)):
+        if any(g[:n - k]):
+            raise PolynomialityViolation(f"(d - {m})**{n - k} does not divide the "
+                                         f"coefficient of (b - a)^{k} a^{n - k}")
+        v = 0
+        for x in reversed(g[n - k:]):
+            v = (v << bits) - m * v + x
+        row.append(v << (n - k) * bits)
+    row = taylor_shift(row, -1)[::-1]
     for i in range(m):
-        row = [i * p + (c << bits) + (m - i) * c for p, c in zip([0] + row, row + [0])]
-    return _schur_readout(row, den, m, bits)
-
-
-def _pack(nums, bits):
-    """The integers nums, lowest first, as one int at e = 2^bits."""
-    v = 0
-    for x in reversed(nums):
-        v = (v << bits) + x
-    return v
+        row = [i * (p - c) + (c << bits) for p, c in zip([0] + row, row + [0])]
+    return _schur_readout(row, den, bits)
 
 
 def _digits(v, bits):
@@ -186,21 +183,15 @@ def _digits(v, bits):
     return out
 
 
-def _schur_readout(row, den, m, bits):
+def _schur_readout(row, den, bits):
     """Schur expansion of the divided difference of the row, over den.
 
     Readout identity: for P = sum of P[i] a^i b^(N - i), the s_{k,l} coefficient
-    is P[l] - P[k + 1] (k + l = N - 1, k >= l); Horner on its e-digits gives d.
+    is P[l] - P[k + 1] (k + l = N - 1, k >= l), read off its digits at d = 2^bits.
     """
-    top, out = len(row) - 1, {}
-    for l in range((top + 1) // 2):
-        digits = _digits(row[l] - row[top - l], bits)
-        wide = bits + ((m + 1) ** len(digits)).bit_length()
-        p = 0
-        for c in reversed(digits):
-            p = (p << wide) - m * p + c
-        out[(top - 1 - l, l)] = _canonical(_digits(p, wide), den)
-    return SchurExpansion(out)
+    top = len(row) - 1
+    return SchurExpansion({(top - 1 - l, l): _canonical(_digits(row[l] - row[top - l], bits), den)
+                           for l in range((top + 1) // 2)})
 
 
 def _peel(prev, m, x=_A, y=_B):

@@ -1,5 +1,6 @@
 """Stratum classes: recursion, twists, peel order, and specializations."""
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _level, _pack, _peel, _schur_readout,
+from rootstrata.crs import (CRSClass, _level, _peel, _schur_readout,
                             crs_class, crs_class_at, crs_class_peeled,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
@@ -89,6 +90,15 @@ def test_integer_specialization_matches_symbolic(monkeypatch):
     # at the weight bound: the longest chain of parts and the widest part
     _assert_per_d_route_matches_symbolic(
         monkeypatch, [(Partition((2,) * 50), 100), (Partition((10,) * 10), 101)])
+
+
+def test_bound_classes_keep_every_coefficient():
+    """Every coefficient of the classes at the weight bound, pinned by sha256."""
+    pinned = {"2^50": "02c3ae326db27ec9", "10^10": "ba659040858e4c07",
+              "5^20": "88704544fb7a2bf7", "7^14,2": "d1423a9bc5b0d454"}
+    got = {lam: hashlib.sha256(str(crs_class(lam)).encode()).hexdigest()[:16]
+           for lam in pinned}
+    assert got == pinned
 
 
 def test_per_d_route_reads_no_polynomial_layer(monkeypatch):
@@ -223,8 +233,16 @@ def test_schur_readout_identity(top, width, den, data):
     row = data.draw(st.lists(entry, min_size=top + 1, max_size=top + 1))
     p = MultiPoly(("a", "b"), {(i, top - i): DPoly(Fraction(x, den) for x in nums)
                                for i, nums in enumerate(row)})
-    assert (_schur_readout([_pack(nums, 8) for nums in row], den, 0, 8)
+    assert (_schur_readout([_pack(nums, 8) for nums in row], den, 8)
             == strip_expand(divided_difference(p)))
+
+
+def _pack(nums, bits):
+    """The integers nums, lowest first, as one int at d = 2^bits."""
+    v = 0
+    for x in reversed(nums):
+        v = (v << bits) + x
+    return v
 
 
 @pytest.mark.parametrize("lam, m", [((2, 2, 2), 2), ((3, 3, 2), 3), ((5, 3), 5)])
@@ -327,7 +345,7 @@ def _divisible_rows(n, gs):
     return rows
 
 
-@given(st.integers(0, 8), st.integers(1, 12), st.integers(1, 10 ** 12), st.data())
+@given(st.integers(0, 12), st.integers(1, 14), st.integers(1, 10 ** 12), st.data())
 @settings(max_examples=150, deadline=None)
 def test_packed_level_matches_the_list_kernel(n, m, den, data):
     """Same readout as the list kernel, or PolynomialityViolation from both."""
