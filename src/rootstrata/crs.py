@@ -11,15 +11,17 @@ lists the e-coefficients of the smaller class, e = d - m.  In the basis
 (b - a)^k a^(n - k) they are g_k = sum of C(n - j, k) rows[j], and the twist
 (a to x*d / e, b - a to y - x) gives the sum of g_k d^(n-k) / e^(n-k) times
 x^(n-k) (y - x)^k: polynomial exactly when each g_k starts with n - k zeros.
-The rest runs at d = 2^W, one int per polynomial with signed digits
-(Kronecker substitution): a quotient packs at e = 2^W - m and shifts by
-(n - k)*W for d^(n - k), an Euler factor gives i*(prev - cur) + (cur << W),
-and the digits of a Schur coefficient are its d-coefficients while each
-stays below 2^(W-1).  For numerators at most R, width to a row, the weights
-C(n-j, i-j) m^(i-j) (1+m)^j of twisted row i over e^i sum to at most
-(1+m)^i C(n+1, i) <= (1+m)^n 2^n, those of the Euler product to (m+1)^m,
-and a Schur coefficient is a difference of two rows: its at most width + m
-e-coefficients stay below R (1+m)^n 2^n (m+1)^m 2 < 2^(B-1) for
+None of that depends on m: _basis runs it once per smaller class, which
+keeps the checked quotients for every later peel onto it.  The rest, _twist,
+runs at d = 2^W, one int per polynomial with signed digits (Kronecker
+substitution): a quotient packs at e = 2^W - m and shifts by (n - k + 1)*W
+for d^(n - k) times the Euler factor d of i = 0, each factor i >= 1 gives
+i*(prev - cur) + (cur << W), and the digits of a Schur coefficient are its
+d-coefficients while each stays below 2^(W-1).  For numerators at most R,
+width to a row, the weights C(n-j, i-j) m^(i-j) (1+m)^j of twisted row i
+over e^i sum to at most (1+m)^i C(n+1, i) <= (1+m)^n 2^n, those of the Euler
+product to (m+1)^m, and a Schur coefficient is a difference of two rows: its
+at most width + m e-coefficients stay below R (1+m)^n 2^n (m+1)^m 2 < 2^(B-1) for
 B = bitlength(R (m+1)^(n+m)) + n + 2.  A d-coefficient sums them times
 C(j, t) (-m)^(j-t) over j < width + m, weights that sum to less than
 (1+m)^(width+m), so it stays below 2^(W-1) for
@@ -51,7 +53,9 @@ _B = MultiPoly.variable("b")
 class CRSClass:
     """Schur expansion of one stratum class, coefficients polynomial in d."""
 
-    __slots__ = ("partition", "expansion")
+    # _peel_basis: the checked basis half of peeling onto this class, and its
+    # denominator; crs_class_peeled fills it on the first such peel
+    __slots__ = ("partition", "expansion", "_peel_basis")
 
     def __init__(self, partition, expansion):
         codim = partition.codim
@@ -68,6 +72,7 @@ class CRSClass:
                 f"top coefficient must have degree exactly {weight}, got {top}")
         self.partition = partition
         self.expansion = expansion
+        self._peel_basis = None
 
     def coefficient(self, k, l):
         return self.expansion.coefficient(k, l)
@@ -136,39 +141,66 @@ def crs_class_peeled(lam, m):
     """One recursion level that peels a chosen part value m off lam.
 
     Row i of the smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
+    The first peel onto a smaller class keeps its checked basis half on it,
+    so every later peel onto that class runs only the half that depends on m.
     """
     lam = validate_stratum(lam)
     cls = crs_class(lam.remove_one(m))
-    n = cls.partition.codim
-    lists, den = common_numerators(
-        [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
-    half = list(accumulate(lists, lambda acc, nums: [
-        x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
-    rows = [half[min(i, n - i)] for i in range(n + 1)]
-    return CRSClass(lam, _level(rows, m, den * lam.multiplicity(m)))
+    if cls._peel_basis is None:
+        n = cls.partition.codim
+        lists, den = common_numerators(
+            [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
+        half = list(accumulate(lists, lambda acc, nums: [
+            x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
+        cls._peel_basis = _basis([half[min(i, n - i)] for i in range(n + 1)], m), den
+    basis, den = cls._peel_basis
+    return CRSClass(lam, _twist(basis, m, den * lam.multiplicity(m)))
 
 
 def _level(rows, m, den):
-    """Schur readout over den of the twisted rows times the Euler factors.
+    """Schur readout over den of the twisted rows times the Euler factors."""
+    return _twist(_basis(rows, m), m, den)
 
-    Each g_k is a Taylor shift by 1 of a reversed column of the rows; the
-    twisted rows are the reversed Taylor shift by -1 of the packed quotients.
+
+def _basis(rows, m):
+    """The half of a level that m does not enter: (quotients, R, width).
+
+    The rows, padded to one width, go to g_k = sum of C(n - j, k) rows[j] by
+    the Taylor-shift triangle on whole rows; each g_k must start with n - k
+    zeros, and its quotient is the rest.  R bounds every numerator.
     """
     n, width = len(rows) - 1, max(map(len, rows))
-    bits = ((max(max(map(abs, nums)) for nums in rows) * (m + 1) ** (n + m)).bit_length()
-            + n + 2 + ((m + 1) ** (width + m)).bit_length())
-    cols = [taylor_shift(col[::-1], 1) for col in zip_longest(*rows, fillvalue=0)]
-    row = []
-    for k, g in enumerate(zip(*cols)):
-        if any(g[:n - k]):
+    bound = max(max(map(abs, nums)) for nums in rows)
+    g = [nums + [0] * (width - len(nums)) for nums in reversed(rows)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] = [x + y for x, y in zip(g[j], g[j + 1])]
+    for k, gk in enumerate(g):
+        if any(gk[:n - k]):
             raise PolynomialityViolation(f"(d - {m})**{n - k} does not divide the "
                                          f"coefficient of (b - a)^{k} a^{n - k}")
+    return [gk[n - k:] for k, gk in enumerate(g)], bound, width
+
+
+def _twist(basis, m, den):
+    """The half of a level that depends on m, from _basis's output.
+
+    Each quotient packs at e = 2^W - m and shifts by (n - k + 1)*W, for
+    d^(n - k) and the Euler factor d of i = 0; the twisted rows are the
+    reversed Taylor shift by -1, and the factors i = 1 .. m - 1 follow.
+    """
+    quots, bound, width = basis
+    n = len(quots) - 1
+    bits = ((bound * (m + 1) ** (n + m)).bit_length()
+            + n + 2 + ((m + 1) ** (width + m)).bit_length())
+    row = []
+    for k, q in enumerate(quots):
         v = 0
-        for x in reversed(g[n - k:]):
+        for x in reversed(q):
             v = (v << bits) - m * v + x
-        row.append(v << (n - k) * bits)
-    row = taylor_shift(row, -1)[::-1]
-    for i in range(m):
+        row.append(v << (n - k + 1) * bits)
+    row = taylor_shift(row, -1)[::-1] + [0]
+    for i in range(1, m):
         row = [i * (p - c) + (c << bits) for p, c in zip([0] + row, row + [0])]
     return _schur_readout(row, den, bits)
 

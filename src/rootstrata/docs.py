@@ -8,9 +8,11 @@ are ascending in d starting at the constant term.
 from __future__ import annotations
 
 import json
+import sys
 
 from .crs import crs_class
 from .dpoly import monomial, render
+from .errors import OutOfRange
 from .flagcalc import flex_point_locus_class, incidence_class
 from .multipoly import VAR_ORDER
 from .partitions import validate_stratum
@@ -25,7 +27,13 @@ def _poly_entry(names, exps, coeff, at):
     if at is None:
         row["coeffs_d"] = coeff.spelled() or ["0"]
     else:
-        row["value"] = str(coeff(at))
+        value = coeff(at)
+        try:
+            row["value"] = str(value)
+        except ValueError:
+            # the interpreter refuses to print an int of more digits than its limit
+            raise OutOfRange(f"a value at this d has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     return row
 
 

@@ -242,8 +242,13 @@ class DPoly:
 
     def __call__(self, x):
         """Evaluate at a rational point by Horner's rule."""
-        x = DPoly.constant(x)
         nums = self._nums
+        if isinstance(x, int):
+            acc = 0
+            for c in reversed(nums):
+                acc = acc * x + c
+            return Fraction(acc, self._den)
+        x = DPoly.constant(x)
         if not nums:
             return Fraction(0)
         p, q = (x._nums or (0,))[0], x._den

@@ -7,6 +7,9 @@ holds, each leading d-coefficient of the Pluecker table is the Kostka
 value asymptotic_plucker gives (0 where the degree drops), and the table
 takes integer values at d = w, w + 1 and 2w + 3, and hilbert_degree is
 Hilbert's degree formula (hilbert_formula in tests/test_universal.py).
+For w <= 10, the point-map pushforward q_push also meets the projection
+formula and the point counts (point_pushforward_checks in
+tests/test_flagcalc.py).
 The first failure exits 1 with one line; a pass prints the number of
 strata checked.
 The file is named so that pytest does not collect it.
@@ -18,6 +21,7 @@ from rootstrata.errors import RootStrataError
 from rootstrata.plucker import asymptotic_plucker, degree_table, plucker_table
 from rootstrata.universal import hilbert_degree
 from strata_sweep import main
+from test_flagcalc import point_pushforward_checks
 from test_universal import hilbert_formula
 
 
@@ -41,6 +45,10 @@ def failure(lam):
     got, want = hilbert_degree(lam), hilbert_formula(lam)
     if got != want:
         return f"{lam}: hilbert_degree is {got}, Hilbert's formula gives {want}"
+    if w <= 10:
+        for what, got, want in point_pushforward_checks(lam):
+            if got != want:
+                return f"{lam}: {what} is {got}, the line pushforward gives {want}"
     return None
 
 

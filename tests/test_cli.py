@@ -337,6 +337,29 @@ def test_huge_repeat_count_is_a_domain_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NINES = "9" * 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ("class", "2^50"), ("class", "6", "--basis", "chern"), ("plucker", "6"),
+    ("flex", "6"), ("universal", "3,3"), ("incidence", "3,3", "--m", "3"),
+    ("flexlocus", "3,3", "--m", "3", "--n", "4"), ("pencil", "3,3", "--m", "3", "--n", "4")])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_value_too_long_to_print_is_a_domain_error(capsys, argv, as_json):
+    """A value of 5000 digits is refused like a count above the weight bound."""
+    code, out, err = run(capsys, *argv, "--at", f"d={NINES}", *(["--json"] * as_json))
+    assert code == 3 and not out
+    assert err == f"error: a value at this d has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_a_long_value_under_the_digit_limit_is_printed(capsys):
+    d = int(NINES)
+    code, out, err = run(capsys, "class", "2", "--at", f"d={d}", "--json")
+    assert (code, err) == (0, "")
+    assert [row["value"] for row in json.loads(out)["entries"]] == [
+        str(c(d)) for _, c in crs_class((2,)).expansion.items()]
+
+
 def test_unexpected_exception_exits_4_in_one_line(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("kernel\nfault")

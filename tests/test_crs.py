@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _level, _peel, _schur_readout,
+from rootstrata.crs import (CRSClass, _basis, _level, _peel, _schur_readout,
                             crs_class, crs_class_at, crs_class_peeled,
                             crs_m_closed, euler_identity_check, euler_pol,
                             leading_term, weighted_product)
@@ -77,7 +77,7 @@ def _assert_per_d_route_matches_symbolic(monkeypatch, cases):
         raise AssertionError("layer used")
 
     for name in ("weighted_product", "divided_difference", "schur_expand",
-                 "_level", "_peel", "taylor_shift"):
+                 "_level", "_basis", "_twist", "_peel", "taylor_shift"):
         monkeypatch.setattr(crs_module, name, used)
     for name in ("substitute", "__mul__", "evaluate_d"):
         monkeypatch.setattr(MultiPoly, name, used)
@@ -256,8 +256,36 @@ def test_a_perturbed_smaller_class_breaks_polynomiality(monkeypatch, lam, m):
         bad = CRSClass(sub, SchurExpansion(coeffs))
         monkeypatch.setattr(crs_module, "crs_class",
                             lambda x, bad=bad: bad if Partition(x) == sub else crs_class(x))
-        with pytest.raises(PolynomialityViolation):
-            crs_class_peeled(lam, m)
+        # a failed check keeps nothing on the class, so the second peel checks again
+        for _ in range(2):
+            with pytest.raises(PolynomialityViolation):
+                crs_class_peeled(lam, m)
+
+
+def test_each_smaller_class_is_put_in_the_basis_once(monkeypatch):
+    """From a cold cache, the 134 peels up to weight 14 run the m-independent
+    half once for each of their 34 smaller classes, and give the classes a
+    peel that keeps nothing gives."""
+    lams = [lam for lam in strata(14) if lam]
+    calls = []
+
+    def counted(rows, m):
+        calls.append(m)
+        return _basis(rows, m)
+
+    def fresh(x):
+        # a fresh copy of the smaller class carries no basis, so the peel runs both halves
+        cls = crs_class(x)
+        return CRSClass(cls.partition, cls.expansion)
+
+    crs_module._crs_cached.cache_clear()
+    monkeypatch.setattr(crs_module, "_basis", counted)
+    got = [crs_class(lam) for lam in lams]
+    assert (len(lams), len(calls)) == (134, 34)
+    monkeypatch.setattr(crs_module, "crs_class", fresh)
+    for lam, cls in zip(lams, got):
+        assert crs_class_peeled(lam, lam.largest) == cls, lam
+    assert len(calls) == 34 + 134
 
 
 # The list kernel the packed level replaced, kept as its reference: rows of

@@ -43,6 +43,20 @@ def test_arithmetic_basics():
     assert p.compose(D + 1) == D ** 2 + 2 * D
 
 
+@given(polys, st.one_of(st.integers(-50, 50), st.integers(-(10 ** 40), 10 ** 40)))
+@example(DPoly(()), 7)
+@settings(max_examples=80, deadline=None)
+def test_value_at_an_int_is_the_value_at_that_fraction(p, x):
+    got = p(x)
+    assert type(got) is Fraction and got == p(Fraction(x)) == p(DPoly.constant(x))
+
+
+def test_value_refuses_a_non_scalar():
+    for bad in (D, 0.5, "2", None):
+        with pytest.raises(TypeError):
+            (D ** 2 + 1)(bad)
+
+
 def test_divmod_exact_division():
     p = (D - 3) * (2 * D ** 2 + 5 * D - 6)
     q, r = divmod(p, D - 3)

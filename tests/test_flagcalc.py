@@ -141,16 +141,16 @@ def test_tangency_peel_choice_does_not_matter():
 
 def test_resolution_route_reads_no_packed_level(monkeypatch):
     """A packed-kernel fault below the top level shows against the resolution route."""
-    level = crs_module._level
+    twist = crs_module._twist
 
-    def doubled_at_codim_1(rows, m, den):
-        out = level(rows, m, den)
-        return out * 2 if len(rows) == 2 else out
+    def doubled_at_codim_1(basis, m, den):
+        out = twist(basis, m, den)
+        return out * 2 if len(basis[0]) == 2 else out
 
     lam = (2, 2, 2)
     want = crs_class(lam).expansion
     crs_module._crs_cached.cache_clear()
-    monkeypatch.setattr(crs_module, "_level", doubled_at_codim_1)
+    monkeypatch.setattr(crs_module, "_twist", doubled_at_codim_1)
     try:
         broken = crs_class(lam).expansion
         resolved = tangency_class_resolution(lam, 6).expansion
@@ -198,30 +198,42 @@ def test_salmon_flecnodal_curve_degree():
     assert flex_point_locus_class((4,), 4, 4).coefficient(2) == D * (11 * D - 24)
 
 
-def test_point_pushforward_matches_the_line_pushforward():
-    """A second route to q_push: by the projection formula the zeta^j
+def point_pushforward_checks(lam):
+    """(what, got, want) for each check of q_push on the loci of lam.
+
+    A second route to q_push: by the projection formula the zeta^j
     coefficient of q_*(I) over P^(n-1) is the integral of I*zeta^(n-1-j) over
     the space of lines, the s_{n-2,n-2} coefficient of p_*(I*zeta^(n-1-j)).
     A locus of codimension n - 1 is a finite set of points, lam.multiplicity(m)
-    on each line the Pluecker number Pl_{lam;0} counts."""
+    on each line the Pluecker number Pl_{lam;0} counts.  what starts with
+    "points" for such a count.
+    """
+    for m in sorted(set(lam.parts)):
+        flex = incidence_class(lam, m).poly
+        # the polynomial does not depend on the ambient n
+        pencil = universal_incidence_class(lam, m, 3).poly.coefficient("xi", 1)
+        for n in range(3, lam.codim + 4):
+            for push, inc in ((flex_point_locus_class, flex), (pencil_locus_class, pencil)):
+                locus = push(lam, m, n)
+                for j in range(n):
+                    lines = p_push(FlagClass(inc * ZETA ** (n - 1 - j), n))
+                    yield (f"zeta^{j} of {push.__name__} at m={m}, n={n}",
+                           locus.coefficient(j), lines.expansion.coefficient(n - 2, n - 2))
+            if lam.codim == 2 * (n - 2):
+                yield (f"points of flex_point_locus_class at m={m}, n={n}",
+                       flex_point_locus_class(lam, m, n).coefficient(n - 1),
+                       lam.multiplicity(m) * plucker_table(lam).polynomial(0))
+
+
+def test_point_pushforward_matches_the_line_pushforward():
     checked = points = 0
     for lam in strata(8):
-        for m in sorted(set(lam.parts)):
-            flex = incidence_class(lam, m).poly
-            # the polynomial does not depend on the ambient n
-            pencil = universal_incidence_class(lam, m, 3).poly.coefficient("xi", 1)
-            for n in range(3, lam.codim + 4):
-                for push, inc in ((flex_point_locus_class, flex), (pencil_locus_class, pencil)):
-                    locus = push(lam, m, n)
-                    for j in range(n):
-                        lines = p_push(FlagClass(inc * ZETA ** (n - 1 - j), n))
-                        assert locus.coefficient(j) == lines.expansion.coefficient(n - 2, n - 2), (
-                            lam, m, n, j, push.__name__)
-                        checked += 1
-                if lam.codim == 2 * (n - 2):
-                    count = lam.multiplicity(m) * plucker_table(lam).polynomial(0)
-                    assert flex_point_locus_class(lam, m, n).coefficient(n - 1) == count, (lam, m)
-                    points += 1
+        for what, got, want in point_pushforward_checks(lam):
+            assert got == want, (lam, what)
+            if what.startswith("points"):
+                points += 1
+            else:
+                checked += 1
     assert (checked, points) == (1758, 15)
 
 

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from rootstrata import flagcalc
 from rootstrata.combinat import kostka
 from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.dpoly import D, DPoly
 from rootstrata.errors import OutOfRange
+from rootstrata.flagcalc import ProjClass
 from rootstrata.partitions import MAX_WEIGHT, Partition
 from rootstrata.plucker import (asymptotic_plucker, degree_table,
                                 hyperflex_count, lines_on_hypersurface,
@@ -228,3 +230,17 @@ def test_theorem_check_reports_a_wrong_leading_term_in_one_line(capsys, monkeypa
     assert script.main(script.failure, ["6"]) == 1
     assert capsys.readouterr().out == (
         f"FAIL (3): hilbert_degree is {6 * D - 12}, Hilbert's formula gives {3 * D - 6}\n")
+
+    # and so does the point-pushforward leg
+    monkeypatch.undo()
+    push = flagcalc.q_push
+
+    def doubled(f):
+        got = push(f)
+        return ProjClass(got.poly * 2, got.ambient_n)
+
+    monkeypatch.setattr(flagcalc, "q_push", doubled)
+    assert script.main(script.failure, ["6"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL (2): zeta^1 of flex_point_locus_class at m=2, n=3 is {2 * D}, "
+        f"the line pushforward gives {D}\n")
