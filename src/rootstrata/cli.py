@@ -28,7 +28,12 @@ def _at_value(text):
     if not m:
         raise argparse.ArgumentTypeError(
             f"expected d=<integer>, got {text!r}")
-    return int(m.group(1))
+    try:
+        return int(m.group(1))
+    except ValueError:
+        # above Python's int-from-text digit limit; echo none of the digits
+        raise argparse.ArgumentTypeError(
+            f"d has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def build_parser():

@@ -25,10 +25,15 @@ at most width + m e-coefficients stay below R (1+m)^n 2^n (m+1)^m 2 < 2^(B-1) fo
 B = bitlength(R (m+1)^(n+m)) + n + 2.  A d-coefficient sums them times
 C(j, t) (-m)^(j-t) over j < width + m, weights that sum to less than
 (1+m)^(width+m), so it stays below 2^(W-1) for
-W = B + bitlength((m+1)^(width+m)).  _peel does the same step on MultiPoly
-terms for the flag roots (eta, zeta); the resolution route recurses
-through it alone, so it cross-checks the packed level.  crs_class_at,
-the per-d route, shares none of this: it loops over rows of plain ints.
+W = B + bitlength((m+1)^(width+m)).  A single row's e-coefficients are half
+that bound, so its d-coefficients stay below 2^(W-2) and one W serves the
+two readouts of the packed level that _packed_level returns: the Schur
+readout of crs_class_peeled, and flagcalc.incidence_class, which reads
+row i's own digits as the coefficient of zeta^(N-i) eta^i on the flag roots.
+_peel does the same step on MultiPoly terms; it serves the resolution route
+alone, which recurses through it, so that route cross-checks the packed
+level.  crs_class_at, the per-d route, shares none of this: it loops over
+rows of plain ints.
 """
 
 from __future__ import annotations
@@ -54,22 +59,20 @@ class CRSClass:
     """Schur expansion of one stratum class, coefficients polynomial in d."""
 
     # _peel_basis: the checked basis half of peeling onto this class, and its
-    # denominator; crs_class_peeled fills it on the first such peel
+    # denominator; _packed_level fills it on the first such peel
     __slots__ = ("partition", "expansion", "_peel_basis")
 
     def __init__(self, partition, expansion):
-        codim = partition.codim
-        weight = partition.weight
         for (k, l), c in expansion.coeffs.items():
-            if k + l != codim:
+            if k + l != partition.codim:
                 raise ValueError(
-                    f"index ({k},{l}) off the codimension-{codim} diagonal")
-            if c.degree > weight:
-                raise ValueError(f"coefficient of s_{{{k},{l}}} exceeds degree {weight}")
-        top = expansion.coefficient(codim, 0)
-        if top.degree != weight:
+                    f"index ({k},{l}) off the codimension-{partition.codim} diagonal")
+            if c.degree > partition.weight:
+                raise ValueError(f"coefficient of s_{{{k},{l}}} exceeds degree {partition.weight}")
+        top = expansion.coefficient(partition.codim, 0)
+        if top.degree != partition.weight:
             raise ValueError(
-                f"top coefficient must have degree exactly {weight}, got {top}")
+                f"top coefficient must have degree exactly {partition.weight}, got {top}")
         self.partition = partition
         self.expansion = expansion
         self._peel_basis = None
@@ -85,9 +88,8 @@ class CRSClass:
 
     def leading_slice(self):
         """Coefficient of d^{|lambda|} in each Schur coordinate."""
-        w = self.partition.weight
         return self.expansion.map_coefficients(
-            lambda c: c.leading() if c.degree == w else 0)
+            lambda c: c.leading() if c.degree == self.partition.weight else 0)
 
     def __eq__(self, other):
         if not isinstance(other, CRSClass):
@@ -140,7 +142,19 @@ def _crs_cached(parts):
 def crs_class_peeled(lam, m):
     """One recursion level that peels a chosen part value m off lam.
 
-    Row i of the smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
+    The Schur readout of _packed_level's row over den times the multiplicity
+    of m in lam: the pushforward along the line map of the incidence class.
+    """
+    lam, row, den, bits = _packed_level(lam, m)
+    return CRSClass(lam, _schur_readout(row, den * lam.multiplicity(m), bits))
+
+
+def _packed_level(lam, m):
+    """(lam, row, den, W): the level that peels m off lam, packed at d = 2^W.
+
+    row[i] / den is the coefficient of a^i b^(N - i) in the twisted smaller
+    class times the Euler factor, before any pushforward.  Row i of the
+    smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
     The first peel onto a smaller class keeps its checked basis half on it,
     so every later peel onto that class runs only the half that depends on m.
     """
@@ -153,13 +167,14 @@ def crs_class_peeled(lam, m):
         half = list(accumulate(lists, lambda acc, nums: [
             x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
         cls._peel_basis = _basis([half[min(i, n - i)] for i in range(n + 1)], m), den
-    basis, den = cls._peel_basis
-    return CRSClass(lam, _twist(basis, m, den * lam.multiplicity(m)))
+    row, bits = _twist(cls._peel_basis[0], m)
+    return lam, row, cls._peel_basis[1], bits
 
 
 def _level(rows, m, den):
     """Schur readout over den of the twisted rows times the Euler factors."""
-    return _twist(_basis(rows, m), m, den)
+    row, bits = _twist(_basis(rows, m), m)
+    return _schur_readout(row, den, bits)
 
 
 def _basis(rows, m):
@@ -182,8 +197,8 @@ def _basis(rows, m):
     return [gk[n - k:] for k, gk in enumerate(g)], bound, width
 
 
-def _twist(basis, m, den):
-    """The half of a level that depends on m, from _basis's output.
+def _twist(basis, m):
+    """The half of a level that depends on m, from _basis's output: (row, W).
 
     Each quotient packs at e = 2^W - m and shifts by (n - k + 1)*W, for
     d^(n - k) and the Euler factor d of i = 0; the twisted rows are the
@@ -202,7 +217,7 @@ def _twist(basis, m, den):
     row = taylor_shift(row, -1)[::-1] + [0]
     for i in range(1, m):
         row = [i * (p - c) + (c << bits) for p, c in zip([0] + row, row + [0])]
-    return _schur_readout(row, den, bits)
+    return row, bits
 
 
 def _digits(v, bits):
@@ -233,8 +248,8 @@ def _peel(prev, m, x=_A, y=_B):
     gets d shifted to d - m and its roots sent to x*d / (d - m) and
     (y*(d - m) + x*m) / (d - m).  The single denominator (d - m)^codim must
     clear exactly, which proves the answer polynomial in d.  It serves the
-    incidence class on the flag roots (eta, zeta); on (a, b) its divided
-    difference is what crs_class_peeled runs packed.
+    resolution route on the flag roots (eta, zeta), apart from the packed
+    level that crs_class_peeled and the incidence class read.
     """
     shifted = MultiPoly(prev.variables,
                         {e: c.compose(D - m) for e, c in prev.terms.items()})

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .crs import _peel, crs_class
-from .dpoly import ZERO
+from .crs import _digits, _packed_level, _peel
+from .dpoly import ZERO, _canonical
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
@@ -144,11 +144,13 @@ def incidence_class(lam, m):
     The smaller stratum rides on the quotient of the form space by the
     forms vanishing to order m at the point; its roots get twisted by
     m/(d-m) in the eta direction, and the Euler factor of the quotient
-    multiplies in.
+    multiplies in.  That is crs's packed level on the flag roots: row i,
+    read off its digits over den, is the coefficient of zeta^(N-i) eta^i.
     """
-    lam = validate_stratum(lam)
-    prev = crs_class(lam.remove_one(m)).to_roots()
-    return FlagClass(_peel(prev, m, _ETA, _ZETA))
+    _, row, den, bits = _packed_level(lam, m)
+    top = len(row) - 1
+    return FlagClass(_build(("zeta", "eta"), [
+        ((top - i, i), _canonical(_digits(v, bits), den)) for i, v in enumerate(row)]))
 
 
 def tangency_class_resolution(lam, n, peel=None):

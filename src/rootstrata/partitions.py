@@ -17,15 +17,21 @@ MAX_WEIGHT = 100
 
 @total_ordering
 class Partition:
-    """Weakly decreasing tuple of positive parts, ordered by (weight, parts)."""
+    """Weakly decreasing tuple of positive parts, ordered by (weight, parts).
 
-    __slots__ = ("parts",)
+    weight is the sum of the parts; codim, the weight of the reduction, is
+    the codimension of the stratum.
+    """
+
+    __slots__ = ("parts", "weight", "codim")
 
     def __init__(self, parts=()):
         ps = sorted(map(index, parts), reverse=True)
         if ps and ps[-1] < 1:
             raise InvalidPartition(f"parts must be positive, got {ps}")
         self.parts = tuple(ps)
+        self.weight = sum(ps)
+        self.codim = self.weight - len(ps)
 
     @classmethod
     def parse(cls, text):
@@ -58,10 +64,6 @@ class Partition:
         except ValueError:
             raise InvalidPartition(f"cannot read partition {text!r}") from None
         return cls(parts)
-
-    @property
-    def weight(self):
-        return sum(self.parts)
 
     @property
     def largest(self):
@@ -112,11 +114,6 @@ class Partition:
         """Partition of the parts each lowered by one, zeros dropped."""
         return Partition(p - 1 for p in self.parts if p > 1)
 
-    @property
-    def codim(self):
-        """Weight of the reduction; the codimension of the stratum."""
-        return sum(p - 1 for p in self.parts)
-
     def remove_one(self, v):
         """Drop a single copy of the part v; a missing part raises InvalidPartition."""
         if v not in self.parts:
@@ -139,7 +136,7 @@ def validate_stratum(lam):
     """
     if not isinstance(lam, Partition):
         lam = Partition.parse(lam) if isinstance(lam, str) else Partition(lam)
-    if any(p < 2 for p in lam):
+    if lam.parts and lam.parts[-1] < 2:
         raise InvalidPartition(f"stratum partition needs parts >= 2, got {lam}")
     return lam
 

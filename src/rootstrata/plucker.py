@@ -51,13 +51,10 @@ class PluckerTable:
 
 def plucker_table(lam):
     """All counting polynomials of a pattern, read off the stratum class."""
-    lam = validate_stratum(lam)
     cls = crs_class(lam)
-    codim = lam.codim
-    entries = []
-    for j in range(codim // 2 + 1):
-        entries.append((codim - 2 * j, cls.coefficient(codim - j, j)))
-    return PluckerTable(lam, entries)
+    codim = cls.partition.codim
+    return PluckerTable(cls.partition, [(codim - 2 * j, cls.coefficient(codim - j, j))
+                                        for j in range(codim // 2 + 1)])
 
 
 def plucker_point(lam):

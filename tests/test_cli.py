@@ -360,6 +360,19 @@ def test_a_long_value_under_the_digit_limit_is_printed(capsys):
         str(c(d)) for _, c in crs_class((2,)).expansion.items()]
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_an_at_value_above_the_digit_limit_is_a_short_usage_error(capsys, as_json):
+    """The usage and one error line, naming neither the converter nor the digits."""
+    flag = ["--json"] * as_json
+    limit = sys.get_int_max_str_digits()
+    usage = run(capsys, "class", "2", "--at", "x", *flag)[2].rpartition("rootstrata class:")[0]
+    code, out, err = run(capsys, "class", "2", "--at", f"d={'9' * (limit + 700)}", *flag)
+    assert (code, out) == (2, "")
+    assert usage.startswith("usage: rootstrata class ")
+    assert err == (f"{usage}rootstrata class: error: argument --at: "
+                   f"d has more than {limit} digits\n")
+
+
 def test_unexpected_exception_exits_4_in_one_line(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("kernel\nfault")

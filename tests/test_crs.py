@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _basis, _level, _peel, _schur_readout,
-                            crs_class, crs_class_at, crs_class_peeled,
-                            crs_m_closed, euler_identity_check, euler_pol,
-                            leading_term, weighted_product)
+from rootstrata.crs import (CRSClass, _basis, _digits, _level, _peel,
+                            _schur_readout, _twist, crs_class, crs_class_at,
+                            crs_class_peeled, crs_m_closed, euler_identity_check,
+                            euler_pol, leading_term, weighted_product)
 from rootstrata.dpoly import (DPoly, _canonical, common_numerators, pseudo_divmod,
                               taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
@@ -77,7 +77,7 @@ def _assert_per_d_route_matches_symbolic(monkeypatch, cases):
         raise AssertionError("layer used")
 
     for name in ("weighted_product", "divided_difference", "schur_expand",
-                 "_level", "_basis", "_twist", "_peel", "taylor_shift"):
+                 "_level", "_basis", "_twist", "_packed_level", "_peel", "taylor_shift"):
         monkeypatch.setattr(crs_module, name, used)
     for name in ("substitute", "__mul__", "evaluate_d"):
         monkeypatch.setattr(MultiPoly, name, used)
@@ -384,8 +384,10 @@ def test_packed_level_matches_the_list_kernel(n, m, den, data):
         rows = data.draw(st.lists(st.lists(big, min_size=width, max_size=width),
                                   min_size=n + 1, max_size=n + 1))
     else:
-        gs = [data.draw(st.lists(big, min_size=1, max_size=30 - (n - k)))
-              for k in range(n + 1)]
+        # lengths drawn uniformly: wide rows, where the digits need the most
+        # room, come up as often as narrow ones
+        sizes = [data.draw(st.integers(1, 30 - (n - k))) for k in range(n + 1)]
+        gs = [data.draw(st.lists(big, min_size=size, max_size=size)) for size in sizes]
         rows = _divisible_rows(n, gs)
         if kind == "perturbed":
             i = data.draw(st.integers(0, n))
@@ -398,6 +400,16 @@ def test_packed_level_matches_the_list_kernel(n, m, den, data):
             _level(rows, m, den)
     else:
         assert _level(rows, m, den) == want
+        # each packed row, read alone, is the list kernel's row: the incidence
+        # class reads single rows off the same digits
+        width = max(map(len, rows))
+        shifted = [taylor_shift(nums + [0] * (width - len(nums)), -m) for nums in rows]
+        listed = list_euler_row(list_twist_row(shifted, m), m)
+        packed, bits = _twist(_basis(rows, m), m)
+        for nums in listed:
+            while nums and not nums[-1]:
+                nums.pop()
+        assert [_digits(v, bits) for v in packed] == listed
 
 
 CHECK_ROUTES = Path(__file__).with_name("check_routes.py")
@@ -457,3 +469,21 @@ def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch
     want = localize(Partition((2,)), 2, 2, 1)
     assert capsys.readouterr().out == (
         f"FAIL (2): localization at d=2, a=2 gives {want * 2}, symbolic {want}\n")
+
+
+def test_mutant_check_reports_a_stale_entry_without_running_pytest(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "check_mutants", CHECK_ROUTES.with_name("check_mutants.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pytest started")
+
+    monkeypatch.setattr(script.subprocess, "run", refuse)
+    for file, old, _, why in script.MUTANTS:
+        assert (script.SRC / "rootstrata" / file).read_text().count(old) == 1, why
+    stale = ("crs.py", "v = (v << bits) - m * v + y", "v = 0", "every class")
+    assert script.main([stale]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL crs.py (every class): old text occurs 0 times, the mutant no longer applies\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rootstrata import crs as crs_module
-from rootstrata.crs import crs_class, crs_class_peeled
+from rootstrata.crs import _peel, crs_class, crs_class_peeled
 from rootstrata.dpoly import D
 from rootstrata.errors import InvalidPartition
 from rootstrata.flagcalc import (FlagClass, GrassClass, ProjClass,
@@ -143,22 +143,34 @@ def test_resolution_route_reads_no_packed_level(monkeypatch):
     """A packed-kernel fault below the top level shows against the resolution route."""
     twist = crs_module._twist
 
-    def doubled_at_codim_1(basis, m, den):
-        out = twist(basis, m, den)
-        return out * 2 if len(basis[0]) == 2 else out
+    def doubled_at_codim_1(basis, m):
+        row, bits = twist(basis, m)
+        return ([2 * v for v in row] if len(basis[0]) == 2 else row), bits
 
     lam = (2, 2, 2)
     want = crs_class(lam).expansion
+    want_incidence = incidence_class(lam, 2)
     crs_module._crs_cached.cache_clear()
     monkeypatch.setattr(crs_module, "_twist", doubled_at_codim_1)
     try:
         broken = crs_class(lam).expansion
+        broken_incidence = incidence_class(lam, 2)
         resolved = tangency_class_resolution(lam, 6).expansion
     finally:
         monkeypatch.undo()
         crs_module._crs_cached.cache_clear()
     assert broken != want
+    assert broken_incidence != want_incidence
     assert resolved == want
+
+
+def test_incidence_class_is_the_multipoly_peel():
+    """The packed level read on the flag roots equals _peel's MultiPoly twist."""
+    pairs = [(lam, m) for lam in strata(14) for m in sorted(set(lam.parts))]
+    assert len(pairs) == 272
+    for lam, m in pairs:
+        want = _peel(crs_class(lam.remove_one(m)).to_roots(), m, ETA, ZETA)
+        assert incidence_class(lam, m).poly == want, (lam, m)
 
 
 def test_flex_point_loci_golden():
