@@ -18,7 +18,7 @@ import sys
 
 from . import docs
 from .errors import DegreeTooSmall, InvalidPartition, OutOfRange
-from .partitions import Partition
+from .partitions import Partition, _quoted
 
 DOMAIN_ERRORS = (InvalidPartition, DegreeTooSmall, OutOfRange)
 
@@ -26,8 +26,7 @@ DOMAIN_ERRORS = (InvalidPartition, DegreeTooSmall, OutOfRange)
 def _at_value(text):
     m = re.fullmatch(r"d=(-?\d+)", text)
     if not m:
-        raise argparse.ArgumentTypeError(
-            f"expected d=<integer>, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected d=<integer>, got {_quoted(text)}")
     try:
         return int(m.group(1))
     except ValueError:

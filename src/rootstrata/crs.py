@@ -30,10 +30,8 @@ that bound, so its d-coefficients stay below 2^(W-2) and one W serves the
 two readouts of the packed level that _packed_level returns: the Schur
 readout of crs_class_peeled, and flagcalc.incidence_class, which reads
 row i's own digits as the coefficient of zeta^(N-i) eta^i on the flag roots.
-_peel does the same step on MultiPoly terms; it serves the resolution route
-alone, which recurses through it, so that route cross-checks the packed
-level.  crs_class_at, the per-d route, shares none of this: it loops over
-rows of plain ints.
+crs_class_at, the per-d route, shares none of this: it loops over rows of
+plain ints.
 """
 
 from __future__ import annotations
@@ -41,11 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from math import comb
+from math import comb, prod
 from operator import index
 
 from .dpoly import D, _canonical, common_numerators, taylor_shift
 from .errors import DegreeTooSmall, PolynomialityViolation
+# substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, substitute_homogeneous
 from .partitions import Partition, validate_stratum
 from .schur import (SchurExpansion, complete_h_expand, divided_difference,
@@ -103,16 +102,15 @@ class CRSClass:
         return f"CRSClass({self})"
 
 
-def _euler_factor(m, x=_A, y=_B, d=D):
-    """Product of (i*x + (d - i)*y) for i = 0 .. m-1, d the scalar D by default.
+def _euler_factor(m, d=D):
+    """Product of (i*a + (d - i)*b) for i = 0 .. m-1, d the scalar D by default.
 
-    weighted_product uses the defaults, euler_pol an integer d, and _peel
-    the flag roots (eta, zeta).
+    weighted_product uses the default, euler_pol an integer d.  On a row P of
+    a^I b^(N - I) coefficients the factor i is P'[I] = i*P[I - 1] + (d - i)*P[I],
+    the update that _twist, crs_class_at and flagcalc._resolution_peel run;
+    it divides nothing, so no exactness check belongs to it.
     """
-    total = MultiPoly.scalar(1)
-    for i in range(m):
-        total = total * (y * (d - i) + x * i)
-    return total
+    return prod((_B * (d - i) + _A * i for i in range(m)), start=MultiPoly.scalar(1))
 
 
 def weighted_product(m):
@@ -169,12 +167,6 @@ def _packed_level(lam, m):
         cls._peel_basis = _basis([half[min(i, n - i)] for i in range(n + 1)], m), den
     row, bits = _twist(cls._peel_basis[0], m)
     return lam, row, cls._peel_basis[1], bits
-
-
-def _level(rows, m, den):
-    """Schur readout over den of the twisted rows times the Euler factors."""
-    row, bits = _twist(_basis(rows, m), m)
-    return _schur_readout(row, den, bits)
 
 
 def _basis(rows, m):
@@ -239,23 +231,6 @@ def _schur_readout(row, den, bits):
     top = len(row) - 1
     return SchurExpansion({(top - 1 - l, l): _canonical(_digits(row[l] - row[top - l], bits), den)
                            for l in range((top + 1) // 2)})
-
-
-def _peel(prev, m, x=_A, y=_B):
-    """Twisted smaller class prev times the m-term Euler factor.
-
-    prev, in the roots a, b, is the class of a stratum less one part m.  It
-    gets d shifted to d - m and its roots sent to x*d / (d - m) and
-    (y*(d - m) + x*m) / (d - m).  The single denominator (d - m)^codim must
-    clear exactly, which proves the answer polynomial in d.  It serves the
-    resolution route on the flag roots (eta, zeta), apart from the packed
-    level that crs_class_peeled and the incidence class read.
-    """
-    shifted = MultiPoly(prev.variables,
-                        {e: c.compose(D - m) for e, c in prev.terms.items()})
-    twisted = substitute_homogeneous(
-        shifted, {"a": x * D, "b": y * (D - m) + x * m}, D - m)
-    return twisted * _euler_factor(m, x, y)
 
 
 def crs_class_at(lam, d0):

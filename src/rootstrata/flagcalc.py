@@ -13,16 +13,17 @@ that p_push(zeta) is the unit class.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
-from .crs import _digits, _packed_level, _peel
-from .dpoly import ZERO, _canonical
+from .crs import _digits, _packed_level
+from .dpoly import ZERO, D, _canonical
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import SchurExpansion, divided_difference, schur_expand
 
 _ZETA = MultiPoly.variable("zeta")
-_ETA = MultiPoly.variable("eta")
 
 
 class FlagClass:
@@ -160,15 +161,45 @@ def tangency_class_resolution(lam, n, peel=None):
     which part to split off (largest by default).  The smaller class comes
     from this route too, one level per part, in an ambient space large
     enough to truncate nothing, so no level reads the symbolic recursion.
+    A level, _resolution_peel, works on rows of DPolys: with t_i the smaller
+    class's row i shifted to d - m and times d^i, twisted row j is the sum
+    over i <= j of C(k - i, j - i) m^(j - i) t_i over (d - m)^j, a division
+    that DPoly's / checks exact; each Euler factor i is then one update,
+    P'[J] = i*P[J - 1] + (d - i)*P[J], before p_push and the division by
+    the multiplicity of m.
     """
     lam = validate_stratum(lam)
     if not lam:
         return GrassClass(SchurExpansion({(0, 0): 1}), n)
     m = peel if peel is not None else lam.largest
     sub = lam.remove_one(m)
-    prev = tangency_class_resolution(sub, sub.codim + 2).expansion.to_roots()
-    pushed = p_push(FlagClass(_peel(prev, m, _ETA, _ZETA), n))
+    prev = tangency_class_resolution(sub, sub.codim + 2).expansion
+    pushed = p_push(FlagClass(_resolution_peel(prev, m), n))
     return GrassClass(pushed.expansion * Fraction(1, lam.multiplicity(m)), n)
+
+
+def _resolution_peel(prev, m):
+    """Incidence class on the flag roots of prev's stratum with a part m added.
+
+    prev, a SchurExpansion of codim k, has row r_i = sum of c_{k-l,l} over
+    l <= min(i, k - i) at a^i b^(k - i).  Its roots go to eta*d / (d - m) and
+    (zeta*(d - m) + eta*m) / (d - m), d to d - m: with t_i = r_i(d - m) d^i,
+    row j, at eta^j zeta^(k - j), is the sum over i <= j of
+    C(k - i, j - i) m^(j - i) t_i, over (d - m)^j.  DPoly's / raises
+    PolynomialityViolation unless that division is exact, which proves the
+    level polynomial in d.  The Euler factors i = 0 .. m - 1 follow, each
+    the update P'[J] = i*P[J - 1] + (d - i)*P[J]; row j of the result is
+    the coefficient of zeta^(k + m - j) eta^j.  Nothing here is crs's packed
+    level, so the route cross-checks it.
+    """
+    k = max(map(sum, prev.coeffs), default=0)
+    half = list(accumulate(prev.coefficient(k - l, l) for l in range(k // 2 + 1)))
+    t = [half[min(i, k - i)].compose(D - m) * D ** i for i in range(k + 1)]
+    row = [sum(comb(k - i, j - i) * m ** (j - i) * t[i] for i in range(j + 1)) / (D - m) ** j
+           for j in range(k + 1)]
+    for i in range(m):
+        row = [i * (p - c) + c * D for p, c in zip([ZERO] + row, row + [ZERO])]
+    return _build(("zeta", "eta"), [((k + m - j, j), c) for j, c in enumerate(row)])
 
 
 def flex_point_locus_class(lam, m, n):

@@ -15,6 +15,11 @@ from .errors import InvalidPartition
 MAX_WEIGHT = 100
 
 
+def _quoted(text):
+    """repr of text for a message, cut to its first 10 characters and ... if longer."""
+    return repr(text) if len(text) <= 10 else f"{text[:10]!r}..."
+
+
 @total_ordering
 class Partition:
     """Weakly decreasing tuple of positive parts, ordered by (weight, parts).
@@ -53,16 +58,15 @@ class Partition:
                 base, caret, count = token.partition("^")
                 base, count = int(base), int(count) if caret else 1
                 if count < 1:
-                    raise InvalidPartition(
-                        f"repeat count in {token!r} must be at least 1")
+                    raise InvalidPartition(f"repeat count in {_quoted(token)} must be at least 1")
                 # parts below 1 are refused by the constructor; count them as 1
                 weight += max(base, 1) * count
                 if weight > MAX_WEIGHT:
                     raise InvalidPartition(
-                        f"partition {text!r} exceeds the maximum weight {MAX_WEIGHT}")
+                        f"partition {_quoted(text)} exceeds the maximum weight {MAX_WEIGHT}")
                 parts.extend([base] * count)
         except ValueError:
-            raise InvalidPartition(f"cannot read partition {text!r}") from None
+            raise InvalidPartition(f"cannot read partition {_quoted(text)}") from None
         return cls(parts)
 
     @property

@@ -52,6 +52,12 @@ MUTANTS = [
      "every xi^t slice with t >= 2 of `universal 2,2`"),
     ("flagcalc.py", "Fraction(1, lam.multiplicity(m))", "Fraction(1, 1)",
      "the resolution route doubles the class of (2,2)"),
+    ("flagcalc.py", "m ** (j - i)", "m ** (j - i + 1)",
+     "the resolution route gives m times each level: (2,) resolves to (2*d^2 - 2*d)*s_{1,0}"),
+    ("flagcalc.py", "(D - m) ** j", "(D - m) ** k",
+     "the s_{2,0} coefficient of the resolved (2,2) drops to degree 3"),
+    ("flagcalc.py", "i * (p - c) + c * D", "i * (c - p) + c * D",
+     "the resolution route's Euler factors: (2,) resolves to (d^2 + d)*s_{1,0}"),
     ("crs.py", "comb(n - i, j - i) * d ** i", "comb(n - i, j) * d ** i",
      "crs_class_at((2,2), d) at every d"),
     ("docs.py", "        except ValueError:\n            # the interpreter refuses",

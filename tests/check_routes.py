@@ -11,7 +11,9 @@ symbolic class crs_class and three routes checked against it.
   per-d values to degree w would; the one degree more checks that the
   values lie on a polynomial of degree <= w.
 - Resolution: tangency_class_resolution through the incidence variety,
-  ambient space just large enough.
+  ambient space just large enough.  Run as a script, it is memoized in
+  its module too, where its recursion finds it: each smaller class is
+  resolved once, when it is checked itself, and read from the memo after.
 - Localization, in the roots: localized_by_subset_sums at d = w and
   2w + 3, a = 2 and 3, b = 1.
 
@@ -21,7 +23,9 @@ The file is named so that pytest does not collect it.
 """
 
 import sys
+from functools import lru_cache
 
+from rootstrata import flagcalc
 from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.errors import RootStrataError
 from rootstrata.flagcalc import tangency_class_resolution
@@ -56,4 +60,6 @@ def failure(lam):
 
 
 if __name__ == "__main__":
+    tangency_class_resolution = flagcalc.tangency_class_resolution = lru_cache(
+        maxsize=None)(tangency_class_resolution)
     sys.exit(main(failure, sys.argv[1:]))

@@ -373,6 +373,29 @@ def test_an_at_value_above_the_digit_limit_is_a_short_usage_error(capsys, as_jso
                    f"d has more than {limit} digits\n")
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv, code", [
+    (["class", "2", "--at", f"d={'9' * 300}x"], 2),
+    (["class", "2," * 3000 + "x"], 3),
+    (["class", "x" + ",2" * 3000], 3),
+    (["class", "2," * 2999 + "2"], 3),
+    (["class", f"2^-{'9' * 4000}"], 3),
+])
+def test_long_user_text_is_quoted_by_a_short_prefix(capsys, monkeypatch, argv, code, as_json):
+    """A message quotes at most a fixed prefix of what the user typed."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    got, out, err = run(capsys, *argv, *(["--json"] * as_json))
+    assert (got, out) == (code, "")
+    assert len(err.encode()) < 200 and "'..." in err
+
+
+def test_short_user_text_is_quoted_whole(capsys):
+    assert run(capsys, "class", "2,2,x") == (3, "", "error: cannot read partition '2,2,x'\n")
+    code, out, err = run(capsys, "class", "2", "--at", "dx")
+    assert (code, out) == (2, "")
+    assert err.endswith("rootstrata class: error: argument --at: expected d=<integer>, got 'dx'\n")
+
+
 def test_unexpected_exception_exits_4_in_one_line(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("kernel\nfault")

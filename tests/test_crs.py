@@ -13,14 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootstrata import crs as crs_module
+from rootstrata import flagcalc as flagcalc_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _basis, _digits, _level, _peel,
-                            _schur_readout, _twist, crs_class, crs_class_at,
-                            crs_class_peeled, crs_m_closed, euler_identity_check,
-                            euler_pol, leading_term, weighted_product)
+from rootstrata.crs import (CRSClass, _basis, _digits, _schur_readout, _twist,
+                            crs_class, crs_class_at, crs_class_peeled, crs_m_closed,
+                            euler_identity_check, euler_pol, leading_term,
+                            weighted_product)
 from rootstrata.dpoly import (DPoly, _canonical, common_numerators, pseudo_divmod,
                               taylor_shift)
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
+from rootstrata.flagcalc import FlagClass, _resolution_peel, p_push
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition
 from rootstrata.schur import SchurExpansion, divided_difference, schur_expand
@@ -77,8 +79,9 @@ def _assert_per_d_route_matches_symbolic(monkeypatch, cases):
         raise AssertionError("layer used")
 
     for name in ("weighted_product", "divided_difference", "schur_expand",
-                 "_level", "_basis", "_twist", "_packed_level", "_peel", "taylor_shift"):
+                 "_basis", "_twist", "_packed_level", "taylor_shift"):
         monkeypatch.setattr(crs_module, name, used)
+    monkeypatch.setattr(flagcalc_module, "_resolution_peel", used)
     for name in ("substitute", "__mul__", "evaluate_d"):
         monkeypatch.setattr(MultiPoly, name, used)
     monkeypatch.setattr(SchurExpansion, "to_roots", used)
@@ -215,12 +218,12 @@ def test_non_integral_inputs_raise_type_error(call):
         call()
 
 
-def test_row_kernel_matches_the_multipoly_peel():
-    """The integer-row level equals the divided difference of the MultiPoly peel."""
+def test_row_kernel_matches_the_resolution_peel():
+    """The packed level equals the line pushforward of the resolution route's level."""
     for lam in strata(12):
         for m in set(lam.parts):
-            oracle = schur_expand(divided_difference(
-                _peel(crs_class(lam.remove_one(m)).to_roots(), m)))
+            oracle = p_push(FlagClass(
+                _resolution_peel(crs_class(lam.remove_one(m)).expansion, m))).expansion
             want = oracle * Fraction(1, lam.multiplicity(m))
             assert crs_class_peeled(lam, m).expansion == want, (lam, m)
 
@@ -397,19 +400,32 @@ def test_packed_level_matches_the_list_kernel(n, m, den, data):
         want = list_level(rows, m, den)
     except PolynomialityViolation:
         with pytest.raises(PolynomialityViolation):
-            _level(rows, m, den)
+            _basis(rows, m)
     else:
-        assert _level(rows, m, den) == want
+        packed, bits = _twist(_basis(rows, m), m)
+        assert _schur_readout(packed, den, bits) == want
         # each packed row, read alone, is the list kernel's row: the incidence
         # class reads single rows off the same digits
         width = max(map(len, rows))
         shifted = [taylor_shift(nums + [0] * (width - len(nums)), -m) for nums in rows]
         listed = list_euler_row(list_twist_row(shifted, m), m)
-        packed, bits = _twist(_basis(rows, m), m)
         for nums in listed:
             while nums and not nums[-1]:
                 nums.pop()
         assert [_digits(v, bits) for v in packed] == listed
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_packed_level_has_room_for_wide_rows_of_large_numerators(n):
+    """Every numerator at the bound, signs alternating, at every width: the
+    digits need all the room W gives them, whatever hypothesis draws."""
+    big = 2 ** 300 - 1
+    for m in (2, 3, 7):
+        for width in (n + 1, n + 5, 20):
+            gs = [[(-1) ** u * big for u in range(width - (n - k))] for k in range(n + 1)]
+            rows = _divisible_rows(n, gs)
+            packed, bits = _twist(_basis(rows, m), m)
+            assert _schur_readout(packed, 1, bits) == list_level(rows, m, 1), (m, width)
 
 
 CHECK_ROUTES = Path(__file__).with_name("check_routes.py")

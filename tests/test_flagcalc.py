@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from rootstrata import crs as crs_module
-from rootstrata.crs import _peel, crs_class, crs_class_peeled
+from rootstrata import flagcalc as flagcalc_module
+from rootstrata import multipoly as multipoly_module
+from rootstrata.crs import crs_class, crs_class_peeled
 from rootstrata.dpoly import D
 from rootstrata.errors import InvalidPartition
-from rootstrata.flagcalc import (FlagClass, GrassClass, ProjClass,
+from rootstrata.flagcalc import (FlagClass, GrassClass, ProjClass, _resolution_peel,
                                  flex_point_locus_class, incidence_class,
                                  p_push, q_push, tangency_class_resolution)
 from rootstrata.multipoly import MultiPoly
@@ -164,13 +166,29 @@ def test_resolution_route_reads_no_packed_level(monkeypatch):
     assert resolved == want
 
 
-def test_incidence_class_is_the_multipoly_peel():
-    """The packed level read on the flag roots equals _peel's MultiPoly twist."""
+def test_incidence_class_is_the_resolution_peel():
+    """The packed level read on the flag roots equals the resolution route's level."""
     pairs = [(lam, m) for lam in strata(14) for m in sorted(set(lam.parts))]
     assert len(pairs) == 272
     for lam, m in pairs:
-        want = _peel(crs_class(lam.remove_one(m)).to_roots(), m, ETA, ZETA)
+        want = _resolution_peel(crs_class(lam.remove_one(m)).expansion, m)
         assert incidence_class(lam, m).poly == want, (lam, m)
+
+
+def test_resolution_route_runs_no_multipoly_substitution_or_product(monkeypatch):
+    """The route twists on rows of DPolys: no substitution and no MultiPoly product."""
+    lams = strata(8)
+    want = [crs_class(lam).expansion for lam in lams]
+
+    def used(*args, **kwargs):
+        raise AssertionError("MultiPoly layer used")
+
+    for module in (multipoly_module, crs_module, flagcalc_module):
+        monkeypatch.setattr(module, "substitute_homogeneous", used)
+    for name in ("substitute", "__mul__"):
+        monkeypatch.setattr(MultiPoly, name, used)
+    for lam, wanted in zip(lams, want):
+        assert tangency_class_resolution(lam, lam.codim + 2).expansion == wanted, lam
 
 
 def test_flex_point_loci_golden():
