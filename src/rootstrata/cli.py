@@ -13,22 +13,28 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from . import docs
 from .errors import DegreeTooSmall, InvalidPartition, OutOfRange
-from .partitions import Partition, _quoted
+from .partitions import INTEGER, Partition, _quoted, read_int
 
 DOMAIN_ERRORS = (InvalidPartition, DegreeTooSmall, OutOfRange)
 
 
+def _int(text):
+    """read_int under the name argparse prints: "invalid int value: 'x'"."""
+    return read_int(text)
+
+
+_int.__name__ = "int"
+
+
 def _at_value(text):
-    m = re.fullmatch(r"d=(-?\d+)", text)
-    if not m:
+    if not (text.startswith("d=") and INTEGER.fullmatch(text, 2)):
         raise argparse.ArgumentTypeError(f"expected d=<integer>, got {_quoted(text)}")
     try:
-        return int(m.group(1))
+        return int(text[2:])
     except ValueError:
         # above Python's int-from-text digit limit; echo none of the digits
         raise argparse.ArgumentTypeError(
@@ -37,8 +43,8 @@ def _at_value(text):
 
 def build_parser():
     shared = {
-        "--m": {"type": int, "required": True},
-        "--n": {"type": int, "required": True},
+        "--m": {"type": _int, "required": True},
+        "--n": {"type": _int, "required": True},
         "--at": {"type": _at_value, "default": None, "metavar": "d=K",
                  "help": "evaluate at a concrete degree"},
         "--json": {"action": "store_true", "help": "emit a JSON document instead of text"},
@@ -54,7 +60,7 @@ def build_parser():
         "asymptotic": ("leading coefficients of the tangent counts",
                        {"partition": {}, "--json": {}}),
         "flex": ("closed-form counts for one m-fold root",
-                 {"m": {"type": int}, "--at": {}, "--json": {}}),
+                 {"m": {"type": _int}, "--at": {}, "--json": {}}),
         "hyperflex": ("hypertangent lines of a generic hypersurface", {
             "--n": {"help": "number of homogeneous coordinates"}, "--json": {}}),
         "lines": ("lines on a generic degree-(2n-3) hypersurface",

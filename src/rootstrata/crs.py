@@ -27,9 +27,9 @@ C(j, t) (-m)^(j-t) over j < width + m, weights that sum to less than
 (1+m)^(width+m), so it stays below 2^(W-1) for
 W = B + bitlength((m+1)^(width+m)).  A single row's e-coefficients are half
 that bound, so its d-coefficients stay below 2^(W-2) and one W serves the
-two readouts of the packed level that _packed_level returns: the Schur
-readout of crs_class_peeled, and flagcalc.incidence_class, which reads
-row i's own digits as the coefficient of zeta^(N-i) eta^i on the flag roots.
+two readouts of the packed level that _packed_level returns, both here:
+_schur_readout for crs_class_peeled, and _level_rows, each row's own digits,
+which flagcalc.incidence_class places at zeta^(N-i) eta^i on the flag roots.
 crs_class_at, the per-d route, shares none of this: it loops over rows of
 plain ints.
 """
@@ -231,6 +231,16 @@ def _schur_readout(row, den, bits):
     top = len(row) - 1
     return SchurExpansion({(top - 1 - l, l): _canonical(_digits(row[l] - row[top - l], bits), den)
                            for l in range((top + 1) // 2)})
+
+
+def _level_rows(lam, m):
+    """The rows of _packed_level(lam, m) as DPolys, each over the level's den.
+
+    Row i is the coefficient of a^i b^(N - i) before any pushforward; its
+    d-coefficients stay below 2^(W-2), so its own digits are exact.
+    """
+    _, row, den, bits = _packed_level(lam, m)
+    return [_canonical(_digits(v, bits), den) for v in row]
 
 
 def crs_class_at(lam, d0):

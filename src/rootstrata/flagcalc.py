@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .crs import _digits, _packed_level
-from .dpoly import ZERO, D, _canonical
+from .crs import _level_rows
+from .dpoly import ZERO, D
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
@@ -145,13 +145,12 @@ def incidence_class(lam, m):
     The smaller stratum rides on the quotient of the form space by the
     forms vanishing to order m at the point; its roots get twisted by
     m/(d-m) in the eta direction, and the Euler factor of the quotient
-    multiplies in.  That is crs's packed level on the flag roots: row i,
-    read off its digits over den, is the coefficient of zeta^(N-i) eta^i.
+    multiplies in.  That is crs's packed level on the flag roots: its row i
+    is the coefficient of zeta^(N-i) eta^i.
     """
-    _, row, den, bits = _packed_level(lam, m)
-    top = len(row) - 1
-    return FlagClass(_build(("zeta", "eta"), [
-        ((top - i, i), _canonical(_digits(v, bits), den)) for i, v in enumerate(row)]))
+    rows = _level_rows(lam, m)
+    top = len(rows) - 1
+    return FlagClass(_build(("zeta", "eta"), [((top - i, i), c) for i, c in enumerate(rows)]))
 
 
 def tangency_class_resolution(lam, n, peel=None):

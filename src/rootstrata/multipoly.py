@@ -17,7 +17,7 @@ from math import prod
 from operator import add, index
 
 from .dpoly import as_dpoly, is_scalar, joined, monomial
-from .errors import PolynomialityViolation, ZeroDenominator
+from .errors import ZeroDenominator
 
 VAR_ORDER = ("a", "b", "c1", "c2", "zeta", "eta", "sigma1", "xi")
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_ORDER)}
@@ -268,30 +268,13 @@ def as_multipoly(x):
 def substitute_homogeneous(p, numerators, den):
     """Substitute var -> numerators[var] / den into a homogeneous polynomial.
 
-    Horner's rule in the last variable: for t from the degree down to 0,
-    total = total * numerators[last] + (coefficient of last^t, substituted).
-    den**degree must then divide each coefficient exactly; a remainder
-    raises PolynomialityViolation.  The one cleared denominator keeps every
-    intermediate in DPoly.  A constant p comes back as is.
+    One substitution of the numerators, then DPoly's exact division by
+    den**degree, which raises PolynomialityViolation on a remainder; a
+    constant p has degree 0 and comes back equal.
     """
-    if not p.variables:
-        return p
     if not p.is_homogeneous():
         raise ValueError("shared-denominator substitution needs a homogeneous input")
     missing = [v for v in p.variables if v not in numerators]
     if missing:
         raise ValueError(f"no numerator given for {missing}")
-    c = p.total_degree()
-    last = p.variables[-1]
-    total = MultiPoly()
-    for t in range(c, -1, -1):
-        total = total * numerators[last] + p.coefficient(last, t).substitute(numerators)
-    shift = den ** c
-    out = []
-    for e, coeff in total.terms.items():
-        q, r = coeff.divmod(shift)
-        if r:
-            raise PolynomialityViolation(
-                f"{den}**{c} does not divide a substituted coefficient")
-        out.append((e, q))
-    return _build(total.variables, out)
+    return p.substitute(numerators) / den ** p.total_degree()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import total_ordering
 from math import factorial
 from operator import index
@@ -18,6 +19,18 @@ MAX_WEIGHT = 100
 def _quoted(text):
     """repr of text for a message, cut to its first 10 characters and ... if longer."""
     return repr(text) if len(text) <= 10 else f"{text[:10]!r}..."
+
+
+# Integer text is an optional minus sign and ASCII digits; int() alone would
+# also read '_' separators, a '+', blanks and the digits of other scripts.
+INTEGER = re.compile(r"-?[0-9]+")
+
+
+def read_int(text):
+    """int(text) when INTEGER matches all of text; ValueError otherwise."""
+    if not INTEGER.fullmatch(text):
+        raise ValueError(f"not integer text: {_quoted(text)}")
+    return int(text)
 
 
 @total_ordering
@@ -56,7 +69,7 @@ class Partition:
                 if not token:
                     continue
                 base, caret, count = token.partition("^")
-                base, count = int(base), int(count) if caret else 1
+                base, count = read_int(base), read_int(count) if caret else 1
                 if count < 1:
                     raise InvalidPartition(f"repeat count in {_quoted(token)} must be at least 1")
                 # parts below 1 are refused by the constructor; count them as 1

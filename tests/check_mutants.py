@@ -24,9 +24,10 @@ SRC = TESTS.parent / "src"
 SEED = 0
 
 MUTANTS = [
-    ("flagcalc.py", "((top - i, i), _canonical", "((i, top - i), _canonical",
+    ("flagcalc.py", "((top - i, i), c)", "((i, top - i), c)",
      "incidence_class((2,2), 2) swaps zeta and eta"),
-    ("flagcalc.py", "_canonical(_digits(v, bits), den))", "_canonical(_digits(v, bits), 1))",
+    ("crs.py", "_canonical(_digits(v, bits), den) for v in row]",
+     "_canonical(_digits(v, bits), 1) for v in row]",
      "incidence_class((2,2,2), 2) loses the 1/2 of its smaller class"),
     ("crs.py", "_digits(row[l] - row[top - l], bits)", "_digits(row[l] - row[top - 1 - l], bits)",
      "every class string of codimension >= 1"),
@@ -63,6 +64,10 @@ MUTANTS = [
     ("docs.py", "        except ValueError:\n            # the interpreter refuses",
      "        except TypeError:\n            # the interpreter refuses",
      "`class 2^50 --at d=<1000 nines>` exits 4 instead of 3"),
+    ("multipoly.py", "/ den ** p.total_degree()", "/ den ** (p.total_degree() - 1)",
+     "the selftest check twist-cleared-denominator fails"),
+    ("partitions.py", 'INTEGER = re.compile(r"-?[0-9]+")', 'INTEGER = re.compile(r"-?[0-9_]+")',
+     "`class 2_0` answers for (20) instead of exiting 3"),
     ("cli.py", 'print(f"error: {exc}", file=sys.stderr)\n        return 3',
      'print(f"error: {exc}", file=sys.stderr)\n        return 4',
      "`class 2,1` exits 4 instead of 3"),

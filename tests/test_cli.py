@@ -389,6 +389,35 @@ def test_long_user_text_is_quoted_by_a_short_prefix(capsys, monkeypatch, argv, c
     assert len(err.encode()) < 200 and "'..." in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv, code, message", [
+    (["class", "2_0"], 3, "cannot read partition '2_0'"),
+    (["class", "2^1_0"], 3, "cannot read partition '2^1_0'"),
+    (["class", "\u0663"], 3, "cannot read partition '\u0663'"),
+    (["class", "+3"], 3, "cannot read partition '+3'"),
+    (["hyperflex", "--n", "1_0"], 2, "argument --n: invalid int value: '1_0'"),
+    (["incidence", "2,2", "--m", "\u0662"], 2, "argument --m: invalid int value: '\u0662'"),
+    (["flex", "\u0663"], 2, "argument m: invalid int value: '\u0663'"),
+    (["flex", "+3"], 2, "argument m: invalid int value: '+3'"),
+    (["class", "2", "--at", "d=\u0664"], 2, "argument --at: expected d=<integer>, got 'd=\u0664'"),
+    (["class", "2", "--at", "d=1_0"], 2, "argument --at: expected d=<integer>, got 'd=1_0'"),
+    (["class", "2^-3"], 3, "repeat count in '2^-3' must be at least 1"),
+    (["class", "0"], 3, "parts must be positive, got [0]"),
+    (["class", "-3"], 3, "parts must be positive, got [-3]"),
+])
+def test_integer_text_is_ascii_digits_alone(capsys, argv, code, message, as_json):
+    """int() would read '_' separators, a '+' and other scripts' digits; the CLI refuses
+    them, in a partition with exit 3 and in an option or flex's m with exit 2.  A minus
+    sign is integer text: its partitions keep their own messages."""
+    got, out, err = run(capsys, *argv, *(["--json"] * as_json))
+    assert (got, out) == (code, "")
+    if code == 3:
+        assert err == f"error: {message}\n"
+    else:
+        assert err.startswith(f"usage: rootstrata {argv[0]} ")
+        assert err.endswith(f"\nrootstrata {argv[0]}: error: {message}\n")
+
+
 def test_short_user_text_is_quoted_whole(capsys):
     assert run(capsys, "class", "2,2,x") == (3, "", "error: cannot read partition '2,2,x'\n")
     code, out, err = run(capsys, "class", "2", "--at", "dx")

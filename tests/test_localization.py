@@ -215,3 +215,26 @@ def test_grouped_localization_matches_the_incidence_classes_through_weight_14():
                         assert got == want, (lam, m, d, alpha, beta)
                     checked += 1
     assert checked == 1088
+
+
+def test_localization_grid_pins_every_class_through_weight_12():
+    """The symbolic class in the roots on the grid d = w .. 2w, (a, b) = (t, 1) for
+    t = 2 .. codim + 2, on all strata of weight <= 12.
+
+    CRSClass enforces that the class is homogeneous of degree codim in (a, b)
+    and that each coefficient has degree <= w in d; the class localization
+    computes obeys the same bounds.  Their difference, at b = 1 and a fixed d,
+    is a polynomial of degree <= codim in t that vanishes at codim + 1 values,
+    so each of its coefficients vanishes at w + 1 values of d and is zero:
+    agreement on the grid pins every coefficient, with no interpolation.
+    """
+    checked = 0
+    for lam in strata(12):
+        roots = crs_class(lam).to_roots()
+        w = lam.weight
+        for d in range(w, 2 * w + 1):
+            for t in range(2, lam.codim + 3):
+                want = localized_by_subset_sums(lam, d, t, 1)
+                assert at_point(roots, d, a=t, b=1) == want, (lam, d, t)
+                checked += 1
+    assert checked == 6721  # the empty stratum is one point, d = 0 and t = 2

@@ -50,3 +50,28 @@ def test_only_the_scalar_modules_test_for_dpoly():
             if _tests_for_dpoly(node):
                 problems.append(f"{path.name}:{node.lineno}: isinstance(..., DPoly)")
     assert not problems, "\n".join(problems)
+
+
+def _names(tree):
+    """Every identifier a module binds, reads or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+
+
+def test_only_crs_decodes_its_packed_level():
+    """The digit format and its bound live in crs: no other module names them."""
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "crs.py":
+            continue
+        for lineno, name in _names(ast.parse(path.read_text(), str(path))):
+            if name in ("_digits", "_packed_level"):
+                problems.append(f"{path.name}:{lineno}: names {name}")
+    assert not problems, "\n".join(problems)
