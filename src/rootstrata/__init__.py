@@ -7,6 +7,8 @@ basis with polynomial dependence on d, and the enumerative counts
 hypersurfaces) those classes specialize to.  All arithmetic is exact.
 """
 
+import types as _types
+
 from .combinat import catalan, kostka, riordan, stirling_first
 from .crs import (CRSClass, crs_class, crs_class_at, crs_m_closed, euler_pol,
                   euler_identity_check, leading_term, weighted_product)
@@ -30,22 +32,6 @@ from .universal import (UniversalClass, hilbert_degree, pencil_locus_class,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CRSClass", "D", "DPoly", "DegreeMismatch",
-    "DegreeTooSmall", "FlagClass", "GrassClass", "InconsistentSamples",
-    "InvalidPartition", "MultiPoly", "NotSymmetric", "OutOfRange",
-    "Partition", "PluckerTable", "PolynomialityViolation",
-    "ProjClass", "RootStrataError", "SchurExpansion", "UniversalClass",
-    "ZeroDenominator", "asymptotic_plucker", "catalan", "chern_to_schur",
-    "complete_h_expand", "crs_class", "crs_class_at", "crs_m_closed",
-    "degree_table", "divided_difference", "euler_identity_check",
-    "euler_pol", "flex_point_locus_class",
-    "hilbert_degree", "hyperflex_count", "incidence_class", "interpolate",
-    "kostka", "leading_term", "lines_on_hypersurface", "mflex_coefficient",
-    "mflex_polynomial", "p_push", "pencil_locus_class", "plucker_point",
-    "plucker_table", "q_push", "riordan", "schur_expand", "schur_to_chern",
-    "stirling_first", "stratum_partitions",
-    "substitute_homogeneous", "tangency_class_resolution",
-    "universal_class", "universal_incidence_class", "validate_stratum",
-    "weighted_product",
-]
+# every public name imported above, so each is written once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -23,11 +23,11 @@ DOMAIN_ERRORS = (InvalidPartition, DegreeTooSmall, OutOfRange)
 
 
 def _int(text):
-    """read_int under the name argparse prints: "invalid int value: 'x'"."""
-    return read_int(text)
-
-
-_int.__name__ = "int"
+    """read_int, refused in argparse's words with a short quote of the text."""
+    try:
+        return read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
 
 def _at_value(text):

@@ -390,6 +390,23 @@ def test_long_user_text_is_quoted_by_a_short_prefix(capsys, monkeypatch, argv, c
 
 
 @pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv, argument", [
+    (["hyperflex", "--n", "9" * 5000], "--n"),
+    (["flex", "x" * 3000], "m"),
+    (["incidence", "2,2", "--m", "x" * 3000], "--m"),
+])
+def test_long_integer_text_is_a_short_usage_error(capsys, monkeypatch, argv, argument, as_json):
+    """The usage and one error line, quoting the refused text by its first 10 characters."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    code, out, err = run(capsys, *argv, *(["--json"] * as_json))
+    assert (code, out) == (2, "")
+    usage, _, error = err.rpartition(f"rootstrata {argv[0]}: error: ")
+    assert usage.startswith(f"usage: rootstrata {argv[0]} ") and "error" not in usage
+    assert error == f"argument {argument}: invalid int value: {argv[-1][:10]!r}...\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("argv, code, message", [
     (["class", "2_0"], 3, "cannot read partition '2_0'"),
     (["class", "2^1_0"], 3, "cannot read partition '2^1_0'"),

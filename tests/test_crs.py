@@ -439,7 +439,8 @@ def test_route_check_passes_at_weight_6():
 
 
 @pytest.mark.parametrize("argv", [[], ["x"]])
-@pytest.mark.parametrize("script", ["check_routes.py", "check_theorems.py"])
+@pytest.mark.parametrize(
+    "script", ["check_routes.py", "check_theorems.py", "check_localization.py"])
 def test_check_scripts_print_the_usage_line_without_a_weight(script, argv):
     proc = subprocess.run([sys.executable, str(CHECK_ROUTES.with_name(script)), *argv],
                           capture_output=True, text=True)

@@ -16,12 +16,17 @@ tau(0) = alpha - beta.  Adding xi to every numerator weight moves the
 hypersurface along the moduli, which gives the universal class.
 """
 
+import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
+from pathlib import Path
 
 from rootstrata.crs import crs_class, crs_class_at
 from rootstrata.flagcalc import incidence_class
+from rootstrata.partitions import Partition
 from rootstrata.universal import universal_class, universal_incidence_class
 from strata_sweep import strata
 
@@ -116,6 +121,50 @@ def at_point(poly, d, **point):
             term *= point[v] ** k
         total += term
     return total
+
+
+def in_a(poly, d, **point):
+    """poly at d, b = 1 and the point, as its ascending coefficients in a.
+
+    Each d-coefficient is evaluated once; horner then gives the value at any a.
+    """
+    row = [Fraction(0)] * (poly.total_degree() + 1)
+    for e, c in poly.terms.items():
+        term, power = c(d), 0
+        for v, k in zip(poly.variables, e):
+            if v == "a":
+                power = k
+            elif v != "b":
+                term *= point[v] ** k
+        row[power] += term
+    return row
+
+
+def horner(row, t):
+    """The polynomial with ascending coefficients row, at t."""
+    value = Fraction(0)
+    for c in reversed(row):
+        value = value * t + c
+    return value
+
+
+def class_grid(lam):
+    """(d, t, symbolic, localized) over the grid that pins crs_class(lam): d = w .. 2w,
+    (a, b) = (t, 1) for t = 2 .. codim + 2.
+
+    CRSClass enforces that the class is homogeneous of degree codim in (a, b)
+    and that each coefficient has degree <= w in d; the class localization
+    computes obeys the same bounds.  Their difference, at b = 1 and a fixed d,
+    is a polynomial of degree <= codim in t that vanishes at codim + 1 values,
+    so each of its coefficients vanishes at w + 1 values of d and is zero:
+    agreement on the grid pins every coefficient, with no interpolation.
+    """
+    roots = crs_class(lam).to_roots()
+    w = lam.weight
+    for d in range(w, 2 * w + 1):
+        row = in_a(roots, d)
+        for t in range(2, lam.codim + 3):
+            yield d, t, horner(row, t), localized_by_subset_sums(lam, d, t, 1)
 
 
 def test_localization_matches_the_fixed_d_recursion():
@@ -218,23 +267,72 @@ def test_grouped_localization_matches_the_incidence_classes_through_weight_14():
 
 
 def test_localization_grid_pins_every_class_through_weight_12():
-    """The symbolic class in the roots on the grid d = w .. 2w, (a, b) = (t, 1) for
-    t = 2 .. codim + 2, on all strata of weight <= 12.
-
-    CRSClass enforces that the class is homogeneous of degree codim in (a, b)
-    and that each coefficient has degree <= w in d; the class localization
-    computes obeys the same bounds.  Their difference, at b = 1 and a fixed d,
-    is a polynomial of degree <= codim in t that vanishes at codim + 1 values,
-    so each of its coefficients vanishes at w + 1 values of d and is zero:
-    agreement on the grid pins every coefficient, with no interpolation.
-    """
+    """class_grid on all strata of weight <= 12 (tests/check_localization.py goes on to 14)."""
     checked = 0
     for lam in strata(12):
-        roots = crs_class(lam).to_roots()
-        w = lam.weight
-        for d in range(w, 2 * w + 1):
-            for t in range(2, lam.codim + 3):
-                want = localized_by_subset_sums(lam, d, t, 1)
-                assert at_point(roots, d, a=t, b=1) == want, (lam, d, t)
-                checked += 1
+        for d, t, got, want in class_grid(lam):
+            assert got == want, (lam, d, t)
+            checked += 1
     assert checked == 6721  # the empty stratum is one point, d = 0 and t = 2
+
+
+def test_localization_grid_pins_every_universal_class_through_weight_8():
+    """universal_class on the grid d = w .. w + D, (a, b, xi) = (t, 1, x) for
+    t = 2 .. codim + 2 and x = 0 .. codim, on all strata of weight <= 8, where D
+    is the largest degree in d of a coefficient.
+
+    UniversalClass enforces no degree bound, so the test asserts the two it
+    relies on: every term has degree codim in (a, b, xi), as the localized
+    class has, and D <= w.  At each d on the grid the difference, at b = 1, is
+    then a polynomial of degree <= codim in t and in x that vanishes on
+    (codim + 1)^2 points, so it is zero.  Agreement thus proves that the
+    computed class is the localized class at D + 1 degrees, and so is the one
+    polynomial of degree <= D in d through them.  It is the class at every d
+    if the class is a polynomial of degree <= D in d, which the grid itself
+    cannot show.
+    """
+    checked = 0
+    for lam in strata(8):
+        poly = universal_class(lam).poly
+        w, codim = lam.weight, lam.codim
+        assert all(sum(e) == codim for e in poly.terms), lam
+        top = max(c.degree for c in poly.terms.values())
+        assert top <= w, (lam, top)
+        for d in range(w, w + top + 1):
+            for x in range(codim + 1):
+                row = in_a(poly, d, xi=x)
+                for t in range(2, codim + 3):
+                    want = localized_by_subset_sums(lam, d, t, 1, x)
+                    assert horner(row, t) == want, (lam, d, t, x)
+                    checked += 1
+    assert checked == 5074
+
+
+CHECK_LOCALIZATION = Path(__file__).with_name("check_localization.py")
+
+
+def test_localization_check_passes_at_weight_6():
+    proc = subprocess.run([sys.executable, str(CHECK_LOCALIZATION), "6"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "ok: 11 strata of weight <= 6\n", "")
+
+
+def test_localization_check_reports_the_first_disagreeing_point_in_one_line(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("check_localization", CHECK_LOCALIZATION)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def last_point_off_at_weight_3(lam):
+        points = list(class_grid(lam))
+        if lam.weight == 3:
+            d, t, got, want = points[-1]
+            points[-1] = d, t, got, want + 1
+        return points
+
+    monkeypatch.setattr(script, "class_grid", last_point_off_at_weight_3)
+    assert script.main(script.failure, ["6"]) == 1
+    d, t, got, want = list(class_grid(Partition((3,))))[-1]
+    assert (d, t) == (6, 4)
+    assert capsys.readouterr().out == (
+        f"FAIL (3): localization at d=6, a=4 gives {want + 1}, symbolic {got}\n")

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import rootstrata
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "rootstrata"
 
 
@@ -75,3 +77,12 @@ def test_only_crs_decodes_its_packed_level():
             if name in ("_digits", "_packed_level"):
                 problems.append(f"{path.name}:{lineno}: names {name}")
     assert not problems, "\n".join(problems)
+
+
+def test_the_package_exports_the_names_its_imports_bind():
+    """__all__ is no second list: it is the sorted names the `from .x import` lines bind."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert rootstrata.__all__ == sorted(bound)
+    assert not any(isinstance(node, ast.List) for node in ast.walk(tree))
