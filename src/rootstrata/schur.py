@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import comb
 from operator import index
 from types import MappingProxyType
 
@@ -120,23 +121,15 @@ def h_roots(r):
     return MultiPoly(("a", "b"), {(t, r - t): 1 for t in range(r + 1)})
 
 
-def _h_chern(r):
-    # h_r in (c1, c2) via h_r = c1 h_{r-1} - c2 h_{r-2}
-    c1 = MultiPoly.variable("c1")
-    c2 = MultiPoly.variable("c2")
-    hs = [MultiPoly.scalar(1), c1]
-    while len(hs) <= r:
-        hs.append(c1 * hs[-1] - c2 * hs[-2])
-    return hs[r]
-
-
 def schur_to_chern(e):
-    """Rewrite a Schur combination in the symmetric generators c1, c2."""
-    out = []
-    for (k, l), c in e.coeffs.items():
-        _, h = _widen(_h_chern(k - l), ("c1", "c2"))
-        out.extend(((i, j + l), hc * c) for (i, j), hc in h)
-    return _build(("c1", "c2"), out)
+    """Rewrite a Schur combination in the symmetric generators c1, c2.
+
+    With c1 = a + b and c2 = ab, s_{k,l} = c2^l h_{k-l} and the closed form
+    h_r = sum over j <= r/2 of (-1)^j C(r - j, j) c1^(r-2j) c2^j put each
+    coefficient on its monomials c1^(k-l-2j) c2^(l+j) in one pass.
+    """
+    return _build(("c1", "c2"), [((k - l - 2 * j, l + j), (-1) ** j * comb(k - l - j, j) * c)
+                                 for (k, l), c in e.items() for j in range((k - l) // 2 + 1)])
 
 
 def chern_to_schur(p):

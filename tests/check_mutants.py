@@ -81,6 +81,8 @@ MUTANTS = [
      "`rootstrata.__all__` lists the submodules, and `from rootstrata import *` binds them"),
     ("universal.py", "_xi_slices(poly, x, y)) for e, c", "_xi_slices(poly, x, x)) for e, c",
      "xi shifts the root a alone: the xi^1 slice of `universal 2` halves to d - 1"),
+    ("schur.py", "comb(k - l - j, j)", "comb(k - l - j, min(j, 1))",
+     "every Chern form with an h_r of r >= 4: s_{4,0} gives c1^4 - 3*c1^2*c2 + 2*c2^2"),
 ]
 
 

@@ -406,6 +406,34 @@ def test_long_integer_text_is_a_short_usage_error(capsys, monkeypatch, argv, arg
     assert len(err.encode()) < 300
 
 
+COMMANDS = ("class", "plucker", "asymptotic", "flex", "hyperflex", "lines", "incidence",
+            "flexlocus", "universal", "pencil", "selftest")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("text", ["foo", "x" * 3000])
+@pytest.mark.parametrize("argv, prog, argument, choices, cap", [
+    (["class", "2", "--basis"], "class", "--basis", ("schur", "chern", "roots"), 300),
+    (["incidence", "2,2", "--m", "2", "--basis"], "incidence", "--basis",
+     ("zeta-eta", "zeta-sigma"), 300),
+    # the top-level usage line and the list of commands alone take 350 bytes
+    ([], "", "command", COMMANDS, 400),
+])
+def test_a_refused_choice_quotes_at_most_10_characters(capsys, monkeypatch, argv, prog,
+                                                       argument, choices, cap, text, as_json):
+    """The usage and one error line, in the same words on every Python."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    code, out, err = run(capsys, *argv, text, *(["--json"] * as_json))
+    assert (code, out) == (2, "")
+    prog = f"rootstrata {prog}".rstrip()
+    usage, _, error = err.rpartition(f"{prog}: error: ")
+    assert usage.startswith(f"usage: {prog} ") and "error" not in usage
+    quoted = repr(text) if len(text) <= 10 else f"{text[:10]!r}..."
+    assert error == (f"argument {argument}: invalid choice: {quoted} "
+                     f"(choose from {', '.join(map(repr, choices))})\n")
+    assert len(err.encode()) < cap
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("argv, code, message", [
     (["class", "2_0"], 3, "cannot read partition '2_0'"),

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from rootstrata import crs as crs_module
 from rootstrata import flagcalc as flagcalc_module
 from rootstrata.combinat import kostka
-from rootstrata.crs import (CRSClass, _basis, _digits, _schur_readout, _twist,
-                            crs_class, crs_class_at, crs_class_peeled, crs_m_closed,
+from rootstrata.crs import (CRSClass, _basis, _digits, _level_rows, _schur_readout,
+                            _twist, crs_class, crs_class_at, crs_class_peeled, crs_m_closed,
                             euler_identity_check, euler_pol, leading_term,
                             weighted_product)
 from rootstrata.dpoly import (DPoly, _canonical, common_numerators, pseudo_divmod,
@@ -25,10 +25,31 @@ from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityVio
 from rootstrata.flagcalc import FlagClass, _resolution_peel, p_push
 from rootstrata.multipoly import MultiPoly
 from rootstrata.partitions import Partition
-from rootstrata.schur import SchurExpansion, divided_difference, schur_expand
+from rootstrata.schur import SchurExpansion, divided_difference, schur_expand, schur_to_chern
 from rootstrata.universal import universal_class
 from strata_sweep import strata
 from test_schur import strip_expand
+
+
+# Two deterministic cases first, so the kernel faults they catch stop tier-1 early.
+
+def test_packed_level_has_room_for_the_width_of_a_lone_row():
+    """One row e^5 at m = 1: in d its coefficients, those of (d - 1)^5, reach
+    10, which only the width term of W leaves room for."""
+    rows = _divisible_rows(0, [[0, 0, 0, 0, 0, 1]])
+    packed, bits = _twist(_basis(rows, 1), 1)
+    assert _schur_readout(packed, 1, bits) == list_level(rows, 1, 1)
+    listed = [_canonical(nums, 1) for nums in list_rows(rows, 1)]
+    assert [_canonical(_digits(v, bits), 1) for v in packed] == listed
+
+
+def test_level_rows_keep_the_denominator_of_the_smaller_class():
+    """incidence_class((2, 2, 2), 2) reads the rows of a level whose smaller
+    class (2, 2) carries a 1/2: each row is the list kernel's, over that den."""
+    row, den = list_roots_row(crs_class((2, 2)), 2)
+    assert den == 2
+    assert _level_rows((2, 2, 2), 2) == [
+        _canonical(nums, den) for nums in list_euler_row(list_twist_row(row, 2), 2)]
 
 
 def test_empty_partition_is_the_unit():
@@ -101,6 +122,14 @@ def test_bound_classes_keep_every_coefficient():
               "5^20": "88704544fb7a2bf7", "7^14,2": "d1423a9bc5b0d454"}
     got = {lam: hashlib.sha256(str(crs_class(lam)).encode()).hexdigest()[:16]
            for lam in pinned}
+    assert got == pinned
+
+
+def test_bound_classes_keep_every_chern_coefficient():
+    """Every coefficient of the Chern form at the weight bound, pinned by sha256."""
+    pinned = {"10^10": "46925201a7435fa2", "50,50": "17cdf8131f89fe55"}
+    got = {lam: hashlib.sha256(str(schur_to_chern(crs_class(lam).expansion)).encode())
+           .hexdigest()[:16] for lam in pinned}
     assert got == pinned
 
 
@@ -344,11 +373,16 @@ def list_schur_readout(row, den):
         for l in range((top + 1) // 2)})
 
 
-def list_level(rows, m, den):
-    """The list kernel on rows of e-coefficients, e = d - m."""
+def list_rows(rows, m):
+    """The list kernel's level rows, before the readout, on rows of e-coefficients, e = d - m."""
     width = max(map(len, rows))
     row = [taylor_shift(nums + [0] * (width - len(nums)), -m) for nums in rows]
-    return list_schur_readout(list_euler_row(list_twist_row(row, m), m), den)
+    return list_euler_row(list_twist_row(row, m), m)
+
+
+def list_level(rows, m, den):
+    """The list kernel on rows of e-coefficients, e = d - m."""
+    return list_schur_readout(list_rows(rows, m), den)
 
 
 def test_list_reference_reproduces_the_classes():
@@ -406,9 +440,7 @@ def test_packed_level_matches_the_list_kernel(n, m, den, data):
         assert _schur_readout(packed, den, bits) == want
         # each packed row, read alone, is the list kernel's row: the incidence
         # class reads single rows off the same digits
-        width = max(map(len, rows))
-        shifted = [taylor_shift(nums + [0] * (width - len(nums)), -m) for nums in rows]
-        listed = list_euler_row(list_twist_row(shifted, m), m)
+        listed = list_rows(rows, m)
         for nums in listed:
             while nums and not nums[-1]:
                 nums.pop()

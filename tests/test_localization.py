@@ -71,45 +71,62 @@ def localized_incidence(lam, m, d, alpha, beta, xi=0):
             / sub.multiplicity_factorial())
 
 
-def _grouped_sum(parts, w, d, alpha, beta, xi):
-    """_fixed_point_sum grouped by the number j of ones in s and the sum of their parts.
+def _grouped(parts, w, d, factor):
+    """_fixed_point_sum / factor at d, grouped by the number j of ones in s and
+    the sum of their parts, as a function of the point (alpha, beta, xi).
 
     tau over s is (-1)^j (alpha - beta)^k and n sees s only through that
     sum, so a subset-sum count over the parts replaces the 2^k terms.  The
     r-th denominator is (-1)^r r! (e - r)! (alpha - beta)^e with e = d - w,
     and each numerator leaves one factor out: a prefix times a suffix product.
+    The weight W[n] of the n-th product, the sum of (-1)^(j+r) count C(e, r)
+    over r + ones = n, does not depend on the point, so it is computed once;
+    each point is then one sum over n <= d.
     """
     k, e = len(parts), d - w
-    factors = [i * alpha + (d - i) * beta + xi for i in range(d + 1)]
-    prefix, suffix = [1], [1]
-    for f, g in zip(factors, reversed(factors)):
-        prefix.append(prefix[-1] * f)
-        suffix.append(suffix[-1] * g)
     counts = {(0, 0): 1}  # (j, sum over the ones): how many s
     for p in parts:
         grown = dict(counts)
         for (j, ones), c in counts.items():
             grown[j + 1, ones + p] = grown.get((j + 1, ones + p), 0) + c
         counts = grown
-    total = 0
+    weights = [0] * (d + 1)
     for (j, ones), c in counts.items():
         for r in range(e + 1):
-            n = r + ones
-            total += (-1) ** (j + r) * c * comb(e, r) * prefix[n] * suffix[d - n]
-    return Fraction(total, factorial(e) * (alpha - beta) ** (k + e))
+            weights[r + ones] += (-1) ** (j + r) * c * comb(e, r)
+    scale = factorial(e) * factor
+
+    def at(alpha, beta, xi=0):
+        factors = [i * alpha + (d - i) * beta + xi for i in range(d + 1)]
+        prefix, suffix = [1], [1]
+        for f, g in zip(factors, reversed(factors)):
+            prefix.append(prefix[-1] * f)
+            suffix.append(suffix[-1] * g)
+        total = sum(c * prefix[n] * suffix[d - n] for n, c in enumerate(weights) if c)
+        return Fraction(total, scale * (alpha - beta) ** (k + e))
+
+    return at
+
+
+def localizer(lam, d):
+    """localized at d, summed by subset sums of the parts, as a function of the point."""
+    return _grouped(lam.parts, lam.weight, d, lam.multiplicity_factorial())
+
+
+def incidence_localizer(lam, m, d):
+    """localized_incidence at d, summed by subset sums, as a function of the point."""
+    sub = lam.remove_one(m)
+    return _grouped(sub.parts, lam.weight, d, sub.multiplicity_factorial())
 
 
 def localized_by_subset_sums(lam, d, alpha, beta, xi=0):
     """localized, summed by subset sums of the parts."""
-    return (_grouped_sum(lam.parts, lam.weight, d, alpha, beta, xi)
-            / lam.multiplicity_factorial())
+    return localizer(lam, d)(alpha, beta, xi)
 
 
 def localized_incidence_by_subset_sums(lam, m, d, alpha, beta, xi=0):
     """localized_incidence, summed by subset sums of the parts."""
-    sub = lam.remove_one(m)
-    return (_grouped_sum(sub.parts, lam.weight, d, alpha, beta, xi)
-            / sub.multiplicity_factorial())
+    return incidence_localizer(lam, m, d)(alpha, beta, xi)
 
 
 def at_point(poly, d, **point):
@@ -162,9 +179,9 @@ def class_grid(lam):
     roots = crs_class(lam).to_roots()
     w = lam.weight
     for d in range(w, 2 * w + 1):
-        row = in_a(roots, d)
+        row, localize = in_a(roots, d), localizer(lam, d)
         for t in range(2, lam.codim + 3):
-            yield d, t, horner(row, t), localized_by_subset_sums(lam, d, t, 1)
+            yield d, t, horner(row, t), localize(t, 1)
 
 
 def test_localization_matches_the_fixed_d_recursion():
@@ -219,8 +236,9 @@ def test_localization_matches_the_class_through_weight_20():
         roots = crs_class(lam).to_roots()
         w = lam.weight
         for d in (w, 2 * w + 3):
+            localize = localizer(lam, d)
             for t in (2, 3):
-                want = localized_by_subset_sums(lam, d, t, 1)
+                want = localize(t, 1)
                 assert at_point(roots, d, a=t, b=1) == want, (lam, d, t)
                 checked += 1
     assert checked == 2508
@@ -255,8 +273,9 @@ def test_grouped_localization_matches_the_incidence_classes_through_weight_14():
             fixed = incidence_class(lam, m).poly
             w = lam.weight
             for d in (w, 2 * w + 3):
+                localize = incidence_localizer(lam, m, d)
                 for alpha, beta, xi in ((2, 3, 0), (-3, 4, 2)):
-                    want = localized_incidence_by_subset_sums(lam, m, d, alpha, beta, xi)
+                    want = localize(alpha, beta, xi)
                     got = at_point(universal, d, zeta=alpha, eta=beta, xi=xi)
                     assert got == want, (lam, m, d, alpha, beta, xi)
                     if not xi:
@@ -267,7 +286,7 @@ def test_grouped_localization_matches_the_incidence_classes_through_weight_14():
 
 
 def test_localization_grid_pins_every_class_through_weight_12():
-    """class_grid on all strata of weight <= 12 (tests/check_localization.py goes on to 14)."""
+    """class_grid on all strata of weight <= 12 (CI runs check_localization.py to 18)."""
     checked = 0
     for lam in strata(12):
         for d, t, got, want in class_grid(lam):
@@ -299,10 +318,11 @@ def test_localization_grid_pins_every_universal_class_through_weight_8():
         top = max(c.degree for c in poly.terms.values())
         assert top <= w, (lam, top)
         for d in range(w, w + top + 1):
+            localize = localizer(lam, d)
             for x in range(codim + 1):
                 row = in_a(poly, d, xi=x)
                 for t in range(2, codim + 3):
-                    want = localized_by_subset_sums(lam, d, t, 1, x)
+                    want = localize(t, 1, x)
                     assert horner(row, t) == want, (lam, d, t, x)
                     checked += 1
     assert checked == 5074

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rootstrata.crs import crs_class
 from rootstrata.dpoly import ZERO, DPoly
 from rootstrata.errors import NotSymmetric
 from rootstrata.multipoly import MultiPoly
 from rootstrata.schur import (SchurExpansion, chern_to_schur,
                               complete_h_expand, divided_difference,
                               h_roots, schur_expand, schur_to_chern)
+from strata_sweep import strata
 
 A = MultiPoly.variable("a")
 B = MultiPoly.variable("b")
@@ -183,11 +185,18 @@ def test_schur_units_in_chern_classes():
     assert schur_to_chern(SchurExpansion({(1, 0): Fraction(1)})) == c1
     assert schur_to_chern(SchurExpansion({(2, 0): Fraction(1)})) == c1 ** 2 - c2
     assert schur_to_chern(SchurExpansion({(1, 1): Fraction(1)})) == c2
+    # h_4 = c1^4 - 3 c1^2 c2 + c2^2: the first h_r with a term in c2^j, j >= 2
+    assert (schur_to_chern(SchurExpansion({(4, 0): Fraction(1)}))
+            == c1 ** 4 - 3 * c1 ** 2 * c2 + c2 ** 2)
 
 
 def test_chern_round_trip():
+    """The closed form of h_r against substituting the roots, on every class up to weight 12."""
     e = SchurExpansion({(3, 1): Fraction(2), (2, 0): Fraction(-3)})
     assert chern_to_schur(schur_to_chern(e)) == e
+    for lam in strata(12):
+        e = crs_class(lam).expansion
+        assert chern_to_schur(schur_to_chern(e)) == e, lam
 
 
 def test_complete_h_expand():
