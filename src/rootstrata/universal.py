@@ -3,41 +3,47 @@
 Replacing the fixed form space by the tautological family over projective
 space shifts both Chern roots by xi/d, where xi is the hyperplane class
 of the moduli; the shifted classes stay polynomial in d.  _xi_slices is
-that one shift, on the roots (a, b) and on the flag roots (eta, zeta).
+that one shift, on the rows of a class in two roots: the roots (a, b) of
+a stratum class, and the flag roots (zeta, eta) of crs's level rows.
 """
 
 from __future__ import annotations
 
-from .crs import crs_class
+from itertools import accumulate, islice
+
+from .crs import _level_rows, crs_class
 from .dpoly import D, DPoly
-from .flagcalc import FlagClass, incidence_class, q_push
+from .flagcalc import FlagClass, q_push
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
-from .multipoly import MultiPoly, _build, _ordered, _widen, substitute_homogeneous
+from .multipoly import _build, substitute_homogeneous
 from .partitions import validate_stratum
 from .schur import schur_expand
 
 
-def _xi_slices(poly, x, y):
-    """The xi^t coefficients of poly with x and y sent to x + xi/d and y + xi/d.
+def _xi_slices(rows):
+    """The xi^t coefficients of a class with both roots sent to x + xi/d and y + xi/d.
 
-    Slice t is (d/dx + d/dy) of slice t - 1, over t and then over d; the
-    division by the monic D is exact or raises PolynomialityViolation.
+    rows[i] is the coefficient of x^(N - i) y^i in a class homogeneous of
+    degree N.  Slice t is (d/dx + d/dy) of slice t - 1, over t and then over
+    d: row i of a slice of degree n - 1 is (n - i) row_i + (i + 1) row_(i+1)
+    of the slice before it.  The division by the monic D is exact or raises
+    PolynomialityViolation.
     """
     t = 0
-    while poly:
-        yield poly
+    while rows:
+        yield rows
         t += 1
-        poly = _build(poly.variables, [
-            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in poly.terms.items()
-            for i, v in enumerate(poly.variables) if e[i] and v in (x, y)]) / t / D
+        n = len(rows) - 1
+        rows = [((n - i) * rows[i] + (i + 1) * rows[i + 1]) / t / D for i in range(n)]
 
 
-def _shift_roots(poly, x, y):
-    """Send the roots x and y of a class to x + xi/d and y + xi/d."""
-    merged = _ordered(poly.variables + ("xi",))
-    k = merged.index("xi")
-    return _build(merged, ((e[:k] + (t,) + e[k + 1:], c) for t, s in enumerate(
-        _xi_slices(poly, x, y)) for e, c in _widen(s, merged)[1]))
+def _shift_roots(rows, x, y):
+    """The class with rows[i] at x^(N - i) y^i, x and y sent to x + xi/d and y + xi/d.
+
+    x, y and xi must come in multipoly.VAR_ORDER, the order _build keeps.
+    """
+    return _build((x, y, "xi"), [((len(s) - 1 - i, i, t), c) for t, s in
+                                 enumerate(_xi_slices(rows)) for i, c in enumerate(s)])
 
 
 class UniversalClass:
@@ -69,9 +75,15 @@ class UniversalClass:
 
 
 def universal_class(lam):
-    """Stratum class of the family twisted by the moduli hyperplane class."""
+    """Stratum class of the family twisted by the moduli hyperplane class.
+
+    Row i of the class, at a^(n - i) b^i with n its codim, sums c_{n-l,l}
+    over l <= min(i, n - i).
+    """
     lam = validate_stratum(lam)
-    return UniversalClass(lam, _shift_roots(crs_class(lam).to_roots(), "a", "b"))
+    cls, n = crs_class(lam), lam.codim
+    half = list(accumulate(cls.coefficient(n - l, l) for l in range(n // 2 + 1)))
+    return UniversalClass(lam, _shift_roots([half[min(i, n - i)] for i in range(n + 1)], "a", "b"))
 
 
 def hilbert_degree(lam):
@@ -87,7 +99,7 @@ def hilbert_degree(lam):
 
 def universal_incidence_class(lam, m, n):
     """Incidence class of (point, curve in a moving hypersurface) pairs."""
-    return FlagClass(_shift_roots(incidence_class(lam, m).poly, "eta", "zeta"), n)
+    return FlagClass(_shift_roots(_level_rows(lam, m), "zeta", "eta"), n)
 
 
 def pencil_locus_class(lam, m, n):
@@ -96,6 +108,6 @@ def pencil_locus_class(lam, m, n):
     Push forward the xi-linear slice of the universal incidence class
     along the point map.
     """
-    slices = _xi_slices(incidence_class(lam, m).poly, "eta", "zeta")
-    next(slices, None)
-    return q_push(FlagClass(next(slices, MultiPoly()), n))
+    _, linear = islice(_xi_slices(_level_rows(lam, m)), 2)
+    flag = _build(("zeta", "eta"), [((len(linear) - 1 - i, i), c) for i, c in enumerate(linear)])
+    return q_push(FlagClass(flag, n))

@@ -1,14 +1,16 @@
 """Pin each stratum class by torus localization on a grid, up to a weight.
 
 Usage: PYTHONPATH=src python tests/check_localization.py <max_weight>
+       PYTHONPATH=src python tests/check_localization.py --class <partition>
 
-For every stratum of weight w <= max_weight, crs_class(lam) in the roots
-must equal localized_by_subset_sums at d = w .. 2w and (a, b) = (t, 1)
-for t = 2 .. codim + 2: class_grid from tests/test_localization.py, whose
+For every stratum of weight w <= max_weight, or for the one stratum that
+--class names (text like 7^14,2), crs_class(lam) in the roots must equal
+localized_by_subset_sums at d = w .. 2w and (a, b) = (t, 1) for
+t = 2 .. codim + 2: class_grid from tests/test_localization.py, whose
 docstring says why that grid pins every coefficient of the class.
 
 The first failure exits 1 with one line; a pass prints the number of
-strata checked.
+strata checked, or the class.
 The file is named so that pytest does not collect it.
 """
 

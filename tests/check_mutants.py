@@ -2,17 +2,21 @@
 
 Usage: python tests/check_mutants.py
 
-Each entry is (file under src/rootstrata, old text, new text, why), where
-why names an output the edit changes.  For each entry src/ is copied to a
-temporary directory, the old text, which must occur exactly once, is
-replaced by the new text, and tier-1 runs against the copy with -x, a
-fixed hypothesis seed and no cache, the source rules first.  A mutant
-the tests let pass, or an entry whose old text no longer occurs exactly
-once, prints one FAIL line and the exit code is 1; otherwise the script
-prints how many mutants were killed.  Stdlib only; the file is named so
-that pytest does not collect it.
+Each entry is (file under src/rootstrata, old text, new text, why,
+killers), where why names an output the edit changes and killers are the
+tier-1 node ids, relative to tests/, expected to kill it.  For each entry
+src/ is copied to a temporary directory, the old text, which must occur
+exactly once, is replaced by the new text, and pytest runs against the
+copy with -x, a fixed hypothesis seed and no cache: the killer nodes
+first, then, only if they all pass, the whole of tier-1, the source rules
+first.  A mutant the tests let pass, an entry whose old text no longer
+occurs exactly once, or a killer node that names no test of its file
+prints one FAIL line and the exit code is 1; otherwise the script prints
+how many mutants were killed.  Stdlib only; the file is named so that
+pytest does not collect it.
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -29,83 +33,130 @@ TIER_1 = sorted(TESTS.glob("test_*.py"),
 
 MUTANTS = [
     ("flagcalc.py", "((top - i, i), c)", "((i, top - i), c)",
-     "incidence_class((2,2), 2) swaps zeta and eta"),
+     "incidence_class((2,2), 2) swaps zeta and eta",
+     ["test_flagcalc.py::test_incidence_class_golden"]),
     ("crs.py", "_canonical(_digits(v, bits), den) for v in row]",
      "_canonical(_digits(v, bits), 1) for v in row]",
-     "incidence_class((2,2,2), 2) loses the 1/2 of its smaller class"),
+     "incidence_class((2,2,2), 2) loses the 1/2 of its smaller class",
+     ["test_crs.py::test_level_rows_keep_the_denominator_of_the_smaller_class"]),
     ("crs.py", "_digits(row[l] - row[top - l], bits)", "_digits(row[l] - row[top - 1 - l], bits)",
-     "every class string of codimension >= 1"),
+     "every class string of codimension >= 1",
+     ["test_acceptance.py::test_criterion_01_golden_classes"]),
     ("crs.py", "v = (v << bits) - m * v + x", "v = (v << bits) + x",
-     "quotients packed at d instead of d - m: every class of two or more parts"),
+     "quotients packed at d instead of d - m: every class of two or more parts",
+     ["test_acceptance.py::test_criterion_01_golden_classes"]),
     ("crs.py", "if any(gk[:n - k]):", "if any(gk[1:n - k]):",
-     "a level the twist does not clear reads out a class instead of PolynomialityViolation"),
+     "a level the twist does not clear reads out a class instead of PolynomialityViolation",
+     ["test_crs.py::test_a_perturbed_smaller_class_breaks_polynomiality"]),
     ("crs.py", "i * (p - c) + (c << bits)", "i * (c - p) + (c << bits)",
-     "the Euler factor of every part m >= 2: every class string"),
+     "the Euler factor of every part m >= 2: every class string",
+     ["test_acceptance.py::test_criterion_01_golden_classes"]),
     ("crs.py", "+ n + 2 + ((m + 1) ** (width + m)).bit_length())", "+ n + 2)",
-     "digits overflow their base for wide rows of large numerators"),
+     "digits overflow their base for wide rows of large numerators",
+     ["test_crs.py::test_packed_level_has_room_for_wide_rows_of_large_numerators"]),
     ("partitions.py", "self.codim = self.weight - len(ps)", "self.codim = self.weight - len(ps) + 1",
-     "the codim field of every JSON document"),
+     "every class is off its codimension diagonal: `class 2` is an internal error",
+     ["test_crs.py::test_codim_and_degree_shape"]),
     ("partitions.py", "lam.parts[-1] < 2", "lam.parts[-1] < 1",
-     "`class 2,1` answers instead of exiting 3"),
+     "`class 2,1` answers instead of exiting 3",
+     ["test_partitions.py::test_validate_stratum"]),
     ("flagcalc.py", "out.append(((j + 1,), -c))", "out.append(((j + 1,), c))",
-     "flex_point_locus_class((3,2), 3, 4) and every pencil locus"),
+     "flex_point_locus_class((3,2), 3, 4) and every pencil locus",
+     ["test_flagcalc.py::test_flex_point_loci_golden"]),
     ("flagcalc.py", 'divided_difference(f.poly, "eta", "zeta")',
      'divided_difference(f.poly, "zeta", "eta")',
-     "p_push(zeta) is minus the unit class; the resolution route flips sign"),
-    ("universal.py", "for i, v in enumerate(poly.variables) if e[i] and v in (x, y)]) / t / D",
-     "for i, v in enumerate(poly.variables) if e[i] and v in (x, y)]) / D",
-     "every xi^t slice with t >= 2 of `universal 2,2`"),
+     "p_push(zeta) is minus the unit class; the resolution route flips sign",
+     ["test_flagcalc.py::test_p_push_segre_anchors"]),
+    ("universal.py", "/ t / D for i in range(n)]", "/ D for i in range(n)]",
+     "every xi^t slice with t >= 2 of `universal 2,2`",
+     ["test_universal.py::test_universal_golden_small"]),
     ("flagcalc.py", "Fraction(1, lam.multiplicity(m))", "Fraction(1, 1)",
-     "the resolution route doubles the class of (2,2)"),
+     "the resolution route doubles the class of (2,2)",
+     ["test_flagcalc.py::test_tangency_matches_truncated_stratum_class"]),
     ("flagcalc.py", "m ** (j - i)", "m ** (j - i + 1)",
-     "the resolution route gives m times each level: (2,) resolves to (2*d^2 - 2*d)*s_{1,0}"),
+     "the resolution route gives m times each level: (2,) resolves to (2*d^2 - 2*d)*s_{1,0}",
+     ["test_flagcalc.py::test_tangency_matches_truncated_stratum_class"]),
     ("flagcalc.py", "(D - m) ** j", "(D - m) ** k",
-     "the s_{2,0} coefficient of the resolved (2,2) drops to degree 3"),
+     "the s_{2,0} coefficient of the resolved (2,2) drops to degree 3",
+     ["test_flagcalc.py::test_tangency_matches_truncated_stratum_class"]),
     ("flagcalc.py", "i * (p - c) + c * D", "i * (c - p) + c * D",
-     "the resolution route's Euler factors: (2,) resolves to (d^2 + d)*s_{1,0}"),
+     "the resolution route's Euler factors: (2,) resolves to (d^2 + d)*s_{1,0}",
+     ["test_flagcalc.py::test_tangency_matches_truncated_stratum_class"]),
     ("crs.py", "comb(n - i, j - i) * d ** i", "comb(n - i, j) * d ** i",
-     "crs_class_at((2,2), d) at every d"),
+     "crs_class_at((2,2), d) at every d",
+     ["test_crs.py::test_integer_specialization_matches_symbolic"]),
     ("docs.py", "        except ValueError:\n            # the interpreter refuses",
      "        except TypeError:\n            # the interpreter refuses",
-     "`class 2^50 --at d=<1000 nines>` exits 4 instead of 3"),
+     "`class 2^50 --at d=<1000 nines>` exits 4 instead of 3",
+     ["test_cli.py::test_a_value_too_long_to_print_is_a_domain_error"]),
     ("multipoly.py", "/ den ** p.total_degree()", "/ den ** (p.total_degree() - 1)",
-     "the selftest check twist-cleared-denominator fails"),
+     "the selftest check twist-cleared-denominator fails",
+     ["test_golden.py::test_golden_check[twist-cleared-denominator]"]),
     ("partitions.py", 'INTEGER = re.compile(r"-?[0-9]+")', 'INTEGER = re.compile(r"-?[0-9_]+")',
-     "`class 2_0` answers for (20) instead of exiting 3"),
+     "`class 2_0` answers for (20) instead of exiting 3",
+     ["test_cli.py::test_integer_text_is_ascii_digits_alone"]),
     ("cli.py", 'print(f"error: {exc}", file=sys.stderr)\n        return 3',
      'print(f"error: {exc}", file=sys.stderr)\n        return 4',
-     "`class 2,1` exits 4 instead of 3"),
+     "`class 2,1` exits 4 instead of 3",
+     ["test_cli.py::test_domain_errors"]),
     ("cli.py", "invalid int value: {_quoted(text)}", "invalid int value: {repr(text)}",
-     "`hyperflex --n <5000 nines>` echoes every digit in its usage error"),
+     "`hyperflex --n <5000 nines>` echoes every digit in its usage error",
+     ["test_cli.py::test_long_integer_text_is_a_short_usage_error"]),
     ("__init__.py", " and not isinstance(value, _types.ModuleType)", "",
-     "`rootstrata.__all__` lists the submodules, and `from rootstrata import *` binds them"),
-    ("universal.py", "_xi_slices(poly, x, y)) for e, c", "_xi_slices(poly, x, x)) for e, c",
-     "xi shifts the root a alone: the xi^1 slice of `universal 2` halves to d - 1"),
+     "`rootstrata.__all__` lists the submodules, and `from rootstrata import *` binds them",
+     ["test_source_rules.py::test_the_package_exports_the_names_its_imports_bind"]),
+    ("universal.py", "(n - i) * rows[i] + (i + 1) * rows[i + 1]", "(n - i) * rows[i]",
+     "xi shifts the root a alone: the xi^1 slice of `universal 2` halves to d - 1",
+     ["test_universal.py::test_universal_golden_small"]),
+    ("universal.py", "[((len(linear) - 1 - i, i), c)", "[((i, len(linear) - 1 - i), c)",
+     "pencil_locus_class pushes its xi^1 slice with zeta and eta swapped: `pencil 2,2`",
+     ["test_universal.py::test_pencil_golden"]),
     ("schur.py", "comb(k - l - j, j)", "comb(k - l - j, min(j, 1))",
-     "every Chern form with an h_r of r >= 4: s_{4,0} gives c1^4 - 3*c1^2*c2 + 2*c2^2"),
+     "every Chern form with an h_r of r >= 4: s_{4,0} gives c1^4 - 3*c1^2*c2 + 2*c2^2",
+     ["test_schur.py::test_schur_units_in_chern_classes"]),
 ]
 
 
-def failure(file, old, new, why):
+def missing(node):
+    """Does the node id name no test function of its file under tests/?"""
+    file, _, name = node.partition("::")
+    path = TESTS / file
+    if not path.is_file():
+        return True
+    tests = {f.name for f in ast.parse(path.read_text()).body if isinstance(f, ast.FunctionDef)}
+    return name.partition("[")[0] not in tests
+
+
+def _pytest(tmp, src, tests):
+    """Exit code of pytest on tests, run from tmp against the copy src."""
+    # run from the copy, so the hypothesis database goes with it
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         f"--hypothesis-seed={SEED}", *tests],
+        cwd=tmp, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def failure(file, old, new, why, killers):
     """The FAIL line for one mutant, or None when tier-1 kills it."""
     text = (SRC / "rootstrata" / file).read_text()
     count = text.count(old)
     if count != 1:
         return f"{file} ({why}): old text occurs {count} times, the mutant no longer applies"
+    gone = [node for node in killers if missing(node)]
+    if gone:
+        return f"{file} ({why}): killer node {gone[0]} names no test"
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / "rootstrata" / file).write_text(text.replace(old, new))
-        # run from the copy, so the hypothesis database goes with it
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             f"--hypothesis-seed={SEED}", *map(str, TIER_1)],
-            cwd=tmp, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    if proc.returncode == 0:
+        ran, code = "its killer nodes", _pytest(tmp, src, [str(TESTS / node) for node in killers])
+        if code == 0:
+            ran, code = "tier-1", _pytest(tmp, src, map(str, TIER_1))
+    if code == 0:
         return f"{file} ({why}): survived tier-1"
-    if proc.returncode != 1:
-        return f"{file} ({why}): tier-1 exited {proc.returncode}, not with a failed test"
+    if code != 1:
+        return f"{file} ({why}): {ran} exited {code}, not with a failed test"
     return None
 
 

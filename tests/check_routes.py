@@ -1,6 +1,7 @@
 """Compare the other routes to each stratum class up to a weight.
 
 Usage: PYTHONPATH=src python tests/check_routes.py <max_weight>
+       PYTHONPATH=src python tests/check_routes.py --class <partition>
 
 For every stratum of weight w <= max_weight, four legs must agree: the
 symbolic class crs_class and three routes checked against it.

@@ -1,6 +1,7 @@
 """Check the paper's theorems on every stratum up to a weight.
 
 Usage: PYTHONPATH=src python tests/check_theorems.py <max_weight>
+       PYTHONPATH=src python tests/check_theorems.py --class <partition>
 
 For every stratum of weight w <= max_weight: degree_table's drop rule
 holds, each leading d-coefficient of the Pluecker table is the Kostka

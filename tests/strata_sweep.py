@@ -1,4 +1,5 @@
-"""The sweep over all strata up to a weight, shared by the tests and the check scripts.
+"""The sweep over all strata up to a weight, or one named stratum, shared by the
+tests and the check scripts.
 
 The file is named so that pytest does not collect it.
 """
@@ -6,7 +7,8 @@ The file is named so that pytest does not collect it.
 import os
 import sys
 
-from rootstrata.partitions import stratum_partitions
+from rootstrata.errors import InvalidPartition
+from rootstrata.partitions import stratum_partitions, validate_stratum
 
 
 def strata(max_weight):
@@ -17,23 +19,39 @@ def strata(max_weight):
     return out
 
 
+def _named(argv):
+    """The strata argv names and how a pass reports them, or None for a bad argv."""
+    # isdecimal, not isdigit: int() refuses a digit such as the superscript 2
+    if len(argv) == 1 and argv[0].isdecimal():
+        lams = strata(int(argv[0]))
+        return lams, f"{len(lams)} strata of weight <= {int(argv[0])}"
+    if len(argv) == 2 and argv[0] == "--class":
+        try:
+            lam = validate_stratum(argv[1])
+        except InvalidPartition:
+            return None
+        return [lam], str(lam)
+    return None
+
+
 def main(failure, argv):
-    """Run failure(lam) on every stratum up to the weight argv names.
+    """Run failure(lam) on every stratum up to the weight argv names, or on the
+    one stratum that `--class <partition>` names.
 
     The first line failure returns is printed after FAIL with exit code 1;
-    a pass prints the number of strata checked; a bad argument prints the
-    script's usage line on stderr and exits 2.
+    a pass prints what was checked; a bad argument prints the script's usage
+    line on stderr and exits 2.
     """
-    if len(argv) != 1 or not argv[0].isdigit():
+    named = _named(argv)
+    if named is None:
         script = os.path.basename(failure.__code__.co_filename)
-        print(f"usage: {script} <max_weight>", file=sys.stderr)
+        print(f"usage: {script} <max_weight> | --class <partition>", file=sys.stderr)
         return 2
-    max_weight = int(argv[0])
-    lams = strata(max_weight)
+    lams, checked = named
     for lam in lams:
         line = failure(lam)
         if line:
             print(f"FAIL {line}")
             return 1
-    print(f"ok: {len(lams)} strata of weight <= {max_weight}")
+    print(f"ok: {checked}")
     return 0

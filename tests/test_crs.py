@@ -470,14 +470,14 @@ def test_route_check_passes_at_weight_6():
         0, "ok: 11 strata of weight <= 6\n", "")
 
 
-@pytest.mark.parametrize("argv", [[], ["x"]])
+@pytest.mark.parametrize("argv", [[], ["x"], ["--class", "2,1"], ["\u00b2"]])
 @pytest.mark.parametrize(
     "script", ["check_routes.py", "check_theorems.py", "check_localization.py"])
 def test_check_scripts_print_the_usage_line_without_a_weight(script, argv):
     proc = subprocess.run([sys.executable, str(CHECK_ROUTES.with_name(script)), *argv],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"usage: {script} <max_weight>\n")
+        2, "", f"usage: {script} <max_weight> | --class <partition>\n")
 
 
 def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch):
@@ -530,9 +530,16 @@ def test_mutant_check_reports_a_stale_entry_without_running_pytest(capsys, monke
         raise AssertionError("pytest started")
 
     monkeypatch.setattr(script.subprocess, "run", refuse)
-    for file, old, _, why in script.MUTANTS:
+    for file, old, _, why, killers in script.MUTANTS:
         assert (script.SRC / "rootstrata" / file).read_text().count(old) == 1, why
-    stale = ("crs.py", "v = (v << bits) - m * v + y", "v = 0", "every class")
+        assert killers and not any(map(script.missing, killers)), why
+    killer = "test_crs.py::test_packed_level_matches_the_list_kernel"
+    stale = ("crs.py", "v = (v << bits) - m * v + y", "v = 0", "every class", [killer])
     assert script.main([stale]) == 1
     assert capsys.readouterr().out == (
         "FAIL crs.py (every class): old text occurs 0 times, the mutant no longer applies\n")
+    gone = ("crs.py", "v = (v << bits) - m * v + x", "v = 0", "every class",
+            [killer, "test_crs.py::test_gone"])
+    assert script.main([gone]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL crs.py (every class): killer node test_crs.py::test_gone names no test\n")

@@ -140,18 +140,18 @@ def at_point(poly, d, **point):
     return total
 
 
-def in_a(poly, d, **point):
-    """poly at d, b = 1 and the point, as its ascending coefficients in a.
+def in_root(poly, d, x="a", y="b", **point):
+    """poly at d, y = 1 and the point, as its ascending coefficients in the root x.
 
-    Each d-coefficient is evaluated once; horner then gives the value at any a.
+    Each d-coefficient is evaluated once; horner then gives the value at any x.
     """
     row = [Fraction(0)] * (poly.total_degree() + 1)
     for e, c in poly.terms.items():
         term, power = c(d), 0
         for v, k in zip(poly.variables, e):
-            if v == "a":
+            if v == x:
                 power = k
-            elif v != "b":
+            elif v != y:
                 term *= point[v] ** k
         row[power] += term
     return row
@@ -179,7 +179,7 @@ def class_grid(lam):
     roots = crs_class(lam).to_roots()
     w = lam.weight
     for d in range(w, 2 * w + 1):
-        row, localize = in_a(roots, d), localizer(lam, d)
+        row, localize = in_root(roots, d), localizer(lam, d)
         for t in range(2, lam.codim + 3):
             yield d, t, horner(row, t), localize(t, 1)
 
@@ -295,6 +295,15 @@ def test_localization_grid_pins_every_class_through_weight_12():
     assert checked == 6721  # the empty stratum is one point, d = 0 and t = 2
 
 
+def d_degree(poly, n, w, label):
+    """The largest degree D in d of a coefficient of poly, once the two bounds a
+    pinning grid relies on hold: every term has degree n in the variables, and D <= w."""
+    assert all(sum(e) == n for e in poly.terms), label
+    top = max(c.degree for c in poly.terms.values())
+    assert top <= w, (label, top)
+    return top
+
+
 def test_localization_grid_pins_every_universal_class_through_weight_8():
     """universal_class on the grid d = w .. w + D, (a, b, xi) = (t, 1, x) for
     t = 2 .. codim + 2 and x = 0 .. codim, on all strata of weight <= 8, where D
@@ -314,18 +323,78 @@ def test_localization_grid_pins_every_universal_class_through_weight_8():
     for lam in strata(8):
         poly = universal_class(lam).poly
         w, codim = lam.weight, lam.codim
-        assert all(sum(e) == codim for e in poly.terms), lam
-        top = max(c.degree for c in poly.terms.values())
-        assert top <= w, (lam, top)
+        top = d_degree(poly, codim, w, lam)
         for d in range(w, w + top + 1):
             localize = localizer(lam, d)
             for x in range(codim + 1):
-                row = in_a(poly, d, xi=x)
+                row = in_root(poly, d, xi=x)
                 for t in range(2, codim + 3):
                     want = localize(t, 1, x)
                     assert horner(row, t) == want, (lam, d, t, x)
                     checked += 1
     assert checked == 5074
+
+
+def test_localization_grid_pins_every_incidence_class_through_weight_12():
+    """incidence_class(lam, m) on the grid d = w .. w + D, (zeta, eta) = (t, 1) for
+    t = 2 .. N + 2, on all (lam, m) of weight <= 12, where N = codim + 1 is its
+    degree in the flag roots and D is the largest degree in d of a coefficient.
+
+    FlagClass enforces no degree bound, so the test asserts the two it relies
+    on: every term has degree N in (zeta, eta), as the localized class has, and
+    D <= w.  At each d on the grid the difference, at eta = 1, is then a
+    polynomial of degree <= N in t that vanishes at N + 1 points, so it is
+    zero.  Agreement thus proves that the computed class is the localized class
+    at D + 1 degrees, and so is the one polynomial of degree <= D in d through
+    them.  It is the class at every d if the class is a polynomial of degree
+    <= D in d, which the grid itself cannot show.
+    """
+    pairs = checked = 0
+    for lam in strata(12):
+        for m in sorted(set(lam.parts)):
+            poly = incidence_class(lam, m).poly
+            w, n = lam.weight, lam.codim + 1
+            top = d_degree(poly, n, w, (lam, m))
+            for d in range(w, w + top + 1):
+                localize = incidence_localizer(lam, m, d)
+                row = in_root(poly, d, "zeta", "eta")
+                for t in range(2, n + 3):
+                    assert horner(row, t) == localize(t, 1), (lam, m, d, t)
+                    checked += 1
+            pairs += 1
+    assert (pairs, checked) == (139, 14429)
+
+
+def test_localization_grid_pins_every_universal_incidence_class_through_weight_8():
+    """universal_incidence_class(lam, m, 5) on the grid d = w .. w + D,
+    (zeta, eta, xi) = (t, 1, x) for t = 2 .. N + 2 and x = 0 .. N, on all
+    (lam, m) of weight <= 8, where N = codim + 1 is its degree in (zeta, eta, xi)
+    and D is the largest degree in d of a coefficient.
+
+    FlagClass enforces no degree bound, so the test asserts the two it relies
+    on: every term has degree N in (zeta, eta, xi), as the localized class has,
+    and D <= w.  At each d on the grid the difference, at eta = 1, is then a
+    polynomial of degree <= N in t and in x that vanishes on (N + 1)^2 points,
+    so it is zero.  Agreement thus proves that the computed class is the
+    localized class at D + 1 degrees, and so is the one polynomial of degree
+    <= D in d through them.  It is the class at every d if the class is a
+    polynomial of degree <= D in d, which the grid itself cannot show.
+    """
+    pairs = checked = 0
+    for lam in strata(8):
+        for m in sorted(set(lam.parts)):
+            poly = universal_incidence_class(lam, m, 5).poly
+            w, n = lam.weight, lam.codim + 1
+            top = d_degree(poly, n, w, (lam, m))
+            for d in range(w, w + top + 1):
+                localize = incidence_localizer(lam, m, d)
+                for x in range(n + 1):
+                    row = in_root(poly, d, "zeta", "eta", xi=x)
+                    for t in range(2, n + 3):
+                        assert horner(row, t) == localize(t, 1, x), (lam, m, d, t, x)
+                        checked += 1
+            pairs += 1
+    assert (pairs, checked) == (30, 10439)
 
 
 CHECK_LOCALIZATION = Path(__file__).with_name("check_localization.py")
@@ -356,3 +425,25 @@ def test_localization_check_reports_the_first_disagreeing_point_in_one_line(caps
     assert (d, t) == (6, 4)
     assert capsys.readouterr().out == (
         f"FAIL (3): localization at d=6, a=4 gives {want + 1}, symbolic {got}\n")
+
+
+def test_localization_check_pins_one_named_class(capsys, monkeypatch):
+    """`--class` runs class_grid on that one class, and stops at its first bad point."""
+    proc = subprocess.run([sys.executable, str(CHECK_LOCALIZATION), "--class", "3,2^2"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok: (3,2,2)\n", "")
+
+    spec = importlib.util.spec_from_file_location("check_localization", CHECK_LOCALIZATION)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def first_point_off(lam):
+        (d, t, got, want), *rest = class_grid(lam)
+        return [(d, t, got, want - 1), *rest]
+
+    monkeypatch.setattr(script, "class_grid", first_point_off)
+    assert script.main(script.failure, ["--class", "3,2^2"]) == 1
+    d, t, got, want = next(class_grid(Partition((3, 2, 2))))
+    assert (d, t) == (7, 2)
+    assert capsys.readouterr().out == (
+        f"FAIL (3,2,2): localization at d=7, a=2 gives {want - 1}, symbolic {got}\n")
