@@ -1,17 +1,20 @@
-"""Counting helpers: tableaux, Stirling cycles, Catalan and Riordan numbers."""
+"""Counting helpers: tableaux, Stirling cycles, Catalan and Riordan numbers.
 
+Each helper is one forward pass, without recursion.
+"""
+
+from collections import Counter
 from functools import cache
 from math import comb
 from operator import index
-
-from .errors import PolynomialityViolation
 
 
 def kostka(shape, content):
     """Semistandard tableaux of a two-row shape with the given content.
 
-    Counted by explicit enumeration of the fillings: choose how many
-    copies of each value land in the top row, keeping columns strict.
+    Counted by explicit enumeration of the fillings, one value at a time:
+    for each (top, bottom) fill so far, the number of ways to reach it.
+    Value c puts y copies in the bottom row and c - y in the top row.
     """
     shape = tuple(map(index, shape))
     if len(shape) == 1:
@@ -22,52 +25,41 @@ def kostka(shape, content):
     content = tuple(map(index, content))
     if any(c < 0 for c in content):
         raise ValueError("negative content")
-    if sum(content) != p + q:
-        return 0
-
-    @cache
-    def rec(v, top, bottom):
-        if v == len(content):
-            return 1 if top == p and bottom == q else 0
-        total = 0
-        for y in range(min(content[v], q - bottom), -1, -1):
-            x = content[v] - y
-            if top + x > p:
-                continue
-            if bottom + y > top:
-                # a value may only sit under a strictly smaller one
-                continue
-            total += rec(v + 1, top + x, bottom + y)
-        return total
-
-    result = rec(0, 0, 0)
-    rec.cache_clear()
-    return result
+    fills = {(0, 0): 1}
+    for c in content:
+        grown = Counter()
+        for (top, bottom), ways in fills.items():
+            # a value may only sit under a strictly smaller one: bottom + y <= top
+            for y in range(min(c, q - bottom, top - bottom) + 1):
+                if top + c - y <= p:
+                    grown[top + c - y, bottom + y] += ways
+        fills = grown
+    return fills.get((p, q), 0)
 
 
 @cache
+def _rising(n):
+    """Coefficients of x(x+1)...(x+n-1), lowest power first."""
+    row = [1]
+    for i in range(n):
+        # times (x + i): c(i+1, j) = c(i, j-1) + i*c(i, j)
+        row = [below + i * same for below, same in zip([0] + row, row + [0])]
+    return tuple(row)
+
+
 def stirling_first(n, k):
     """Unsigned Stirling number of the first kind (cycle count)."""
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
-        return 0
-    return stirling_first(n - 1, k - 1) + (n - 1) * stirling_first(n - 1, k)
+    return _rising(n)[k] if 0 <= k <= n else 0
 
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
-@cache
 def riordan(n):
-    """Motzkin paths with no flat steps at level zero."""
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    num = (n - 1) * (2 * riordan(n - 1) + 3 * riordan(n - 2))
-    q, r = divmod(num, n + 1)
-    if r:
-        raise PolynomialityViolation(f"Riordan recurrence at n={n} is not integral")
-    return q
+    """Motzkin paths with no flat steps at level zero.
+
+    The binomial transform of the Catalan numbers:
+    R_n = sum over k of (-1)^(n-k) C(n, k) catalan(k).
+    """
+    return sum((-1) ** (n - k) * comb(n, k) * catalan(k) for k in range(n + 1))

@@ -88,7 +88,8 @@ def flex_document(m, at=None):
 
 
 def _closed_form_doc(command, n, value):
-    """The header of the two counts on a degree-(2n-3) hypersurface in P^(n-1)."""
+    """The header of the two counts of degree d = 2n-3: hyperflexes of a
+    hypersurface in P^(n-1) and lines on a hypersurface in P^n."""
     return {"command": command, "n": n, "d": 2 * n - 3, "notes": [], "value": str(value)}
 
 
@@ -170,7 +171,8 @@ def emit_text(doc):
     heading, row_form = forms[cmd]
     fields = {**doc, "part": "(" + ",".join(str(p) for p in doc.get("partition", ())) + ")",
               "at": "" if doc["d"] in ("symbolic", "limit") else f" at d={doc['d']}",
-              "dim": doc.get("n", 1) - 1}  # a closed-form count lives in P^(n-1)
+              # hyperflexes of a hypersurface in P^(n-1), lines on one in P^n
+              "dim": doc.get("n", 1) - (cmd == "hyperflex")}
     lines = [heading.format_map(fields)]
     for row in doc.get("entries", ()):
         # read by name in a fixed order, so a row parsed back from JSON prints the same

@@ -114,6 +114,15 @@ MUTANTS = [
     ("schur.py", "comb(k - l - j, j)", "comb(k - l - j, min(j, 1))",
      "every Chern form with an h_r of r >= 4: s_{4,0} gives c1^4 - 3*c1^2*c2 + 2*c2^2",
      ["test_schur.py::test_schur_units_in_chern_classes"]),
+    ("combinat.py", "min(c, q - bottom, top - bottom)", "min(c, q - bottom)",
+     "a value may sit under an equal one: kostka((2,2), (1,1,1,1)) counts 6, not 2",
+     ["test_combinat.py::test_kostka_known_values"]),
+    ("combinat.py", "below + i * same", "below + (i + 1) * same",
+     "the Stirling row of 4 reads (x+1)...(x+4): 50, 35, 10, 1 instead of 6, 11, 6, 1",
+     ["test_combinat.py::test_stirling_first_row"]),
+    ("combinat.py", "(-1) ** (n - k)", "(-1) ** k",
+     "every Riordan number of odd index flips sign: riordan(3) is -1",
+     ["test_combinat.py::test_riordan"]),
 ]
 
 

@@ -23,8 +23,12 @@ def _named(argv):
     """The strata argv names and how a pass reports them, or None for a bad argv."""
     # isdecimal, not isdigit: int() refuses a digit such as the superscript 2
     if len(argv) == 1 and argv[0].isdecimal():
-        lams = strata(int(argv[0]))
-        return lams, f"{len(lams)} strata of weight <= {int(argv[0])}"
+        try:
+            weight = int(argv[0])
+        except ValueError:  # more digits than int() converts
+            return None
+        lams = strata(weight)
+        return lams, f"{len(lams)} strata of weight <= {weight}"
     if len(argv) == 2 and argv[0] == "--class":
         try:
             lam = validate_stratum(argv[1])

@@ -244,7 +244,7 @@ def documents(max_weight):
     ("universal 3,2", ["universal class for (3,2):",
                        "  xi^0 s_{3,0}: d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d"]),
     ("hyperflex --n 4", ["hyperflexes of a generic degree-5 hypersurface in P^3:", "575"]),
-    ("lines --n 4", ["lines on a generic degree-5 hypersurface in P^3:", "2875"]),
+    ("lines --n 4", ["lines on a generic degree-5 hypersurface in P^4:", "2875"]),
     ("class 3,2 --basis chern --at d=7", ["class (3,2) in basis chern at d=7:",
                                           "  c1^3: 2520"]),
 ])
