@@ -19,9 +19,9 @@ def kostka(shape, content):
     shape = tuple(map(index, shape))
     if len(shape) == 1:
         shape = (shape[0], 0)
-    p, q = shape
-    if p < q or q < 0:
+    if len(shape) != 2 or shape[0] < shape[1] or shape[1] < 0:
         raise ValueError(f"need a two-row shape p >= q >= 0, got {shape}")
+    p, q = shape
     content = tuple(map(index, content))
     if any(c < 0 for c in content):
         raise ValueError("negative content")

@@ -36,14 +36,16 @@ def P(*coeffs):
     return DPoly(tuple(Fraction(c) for c in coeffs))
 
 
-def expect(actual, wanted):
-    if actual != wanted:
-        return f"got {actual}, wanted {wanted}"
+def first_miss(comparisons):
+    """The failure text of the first (label, got, wanted) with got != wanted, or None.
+
+    The comparisons are read one at a time, so a check stops at its first miss.
+    """
+    for label, got, wanted in comparisons:
+        if got != wanted:
+            text = f"got {got}, wanted {wanted}"
+            return f"{label}: {text}" if label else text
     return None
-
-
-def expect_str(actual, wanted):
-    return expect(str(actual), wanted)
 
 
 # One frozen table per family keeps the check functions short.
@@ -73,94 +75,80 @@ def check_twist_cleared():
                         {e: c.compose(D - 2) for e, c in shifted.terms.items()})
     twisted = substitute_homogeneous(
         shifted, {"a": _A * D, "b": _B * (D - 2) + _A * 2}, D - 2)
-    wanted = _A * P(-6, -1, 1) + _B * P(6, -5, 1)
-    return expect(twisted, wanted)
+    yield "", twisted, _A * P(-6, -1, 1) + _B * P(6, -5, 1)
 
 
 def check_twist_universal():
     u = universal_class((2,))
-    return expect_str(u.poly, "(d^2 - d)*a + (d^2 - d)*b + (2*d - 2)*xi")
+    yield "", str(u.poly), "(d^2 - d)*a + (d^2 - d)*b + (2*d - 2)*xi"
 
 
 def check_divided_difference_product():
     p = (_B * D) * (_A + _B * (D - 1))
-    return expect(divided_difference(p), (_A + _B) * P(0, -1, 1))
+    yield "", divided_difference(p), (_A + _B) * P(0, -1, 1)
 
 
 def check_divided_difference_diagonal():
     for i in range(1, 6):
-        got = divided_difference(_A ** i * _B ** i)
-        if got != 0:
-            return f"expected 0 at i={i}, got {got}"
-    return None
+        yield f"i={i}", divided_difference(_A ** i * _B ** i), 0
 
 
 def check_schur_chern_units():
-    got2 = schur_to_chern(SchurExpansion({(2, 0): Fraction(1)}))
     c1, c2 = MultiPoly.variable("c1"), MultiPoly.variable("c2")
-    err = expect(got2, c1 * c1 - c2)
-    if err:
-        return err
-    return expect(schur_to_chern(SchurExpansion({(1, 1): Fraction(1)})), c2)
+    yield "", schur_to_chern(SchurExpansion({(2, 0): Fraction(1)})), c1 * c1 - c2
+    yield "", schur_to_chern(SchurExpansion({(1, 1): Fraction(1)})), c2
 
 
 def check_schur_expand_three():
-    return expect(crs_class((3,)).expansion, CRS_GOLDEN[(3,)])
+    yield "", crs_class((3,)).expansion, CRS_GOLDEN[(3,)]
 
 
 def check_chern_form_three():
     got = schur_to_chern(crs_class((3,)).expansion)
-    return expect_str(got, "(d^3 - 3*d^2 + 2*d)*c1^2 + (-d^3 + 6*d^2 - 8*d)*c2")
+    yield "", str(got), "(d^3 - 3*d^2 + 2*d)*c1^2 + (-d^3 + 6*d^2 - 8*d)*c2"
 
 
 def check_kostka():
-    err = expect(kostka((2, 2), (1, 1, 1, 1)), 2)
-    if err:
-        return err
-    return expect(kostka((3, 2), (3, 2)), 1)
+    yield "", kostka((2, 2), (1, 1, 1, 1)), 2
+    yield "", kostka((3, 2), (3, 2)), 1
 
 
 def check_catalan():
-    return expect(catalan(2), 2)
+    yield "", catalan(2), 2
 
 
 def check_riordan():
-    return expect([riordan(n) for n in (3, 4, 5, 6)], [1, 3, 6, 15])
+    yield "", [riordan(n) for n in (3, 4, 5, 6)], [1, 3, 6, 15]
 
 
 def check_complete_h():
     got = complete_h_expand((1, 1, 1, 1))
-    return expect(got.coefficient(2, 2), Fraction(2))
+    yield "", got.coefficient(2, 2), Fraction(2)
 
 
 def check_weighted_product():
-    return expect_str(weighted_product(2), "(d)*a*b + (d^2 - d)*b^2")
+    yield "", str(weighted_product(2)), "(d)*a*b + (d^2 - d)*b^2"
 
 
 def check_crs_two():
-    return expect(crs_class((2,)).expansion, CRS_GOLDEN[(2,)])
+    yield "", crs_class((2,)).expansion, CRS_GOLDEN[(2,)]
 
 
 def check_crs_two_two():
-    return expect(crs_class((2, 2)).expansion, CRS_GOLDEN[(2, 2)])
+    yield "", crs_class((2, 2)).expansion, CRS_GOLDEN[(2, 2)]
 
 
 def check_crs_closed_forms():
     for m, lam in ((2, (2,)), (3, (3,))):
-        err = expect(crs_m_closed(m).expansion, CRS_GOLDEN[lam])
-        if err:
-            return f"m={m}: {err}"
-    got4 = crs_m_closed(4).expansion
+        yield f"m={m}", crs_m_closed(m).expansion, CRS_GOLDEN[lam]
     wanted4 = SchurExpansion({(3, 0): P(0, -6, 11, -6, 1), (2, 1): P(0, 12, -22, 6)})
-    return expect(got4, wanted4)
+    yield "", crs_m_closed(4).expansion, wanted4
 
 
 def check_leading_terms():
-    err = expect(leading_term((2, 2)),
-                 SchurExpansion({(2, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}))
-    if err:
-        return err
-    return expect(leading_term((3,)), SchurExpansion({(2, 0): Fraction(1)}))
+    yield "", leading_term((2, 2)), SchurExpansion({(2, 0): Fraction(1, 2),
+                                                    (1, 1): Fraction(1, 2)})
+    yield "", leading_term((3,)), SchurExpansion({(2, 0): Fraction(1)})
 
 
 def check_plucker_tables():
@@ -179,32 +167,22 @@ def check_plucker_tables():
         ],
     }
     for lam, rows in wanted.items():
-        got = [(i, p) for i, p in plucker_table(lam)]
-        if got != rows:
-            return f"{lam}: got {got}"
-    return None
+        yield str(lam), [(i, p) for i, p in plucker_table(lam)], rows
 
 
 def check_plucker_point():
-    err = expect(plucker_point((2, 2)), P(0, -3, "11/2", -3, "1/2"))
-    if err:
-        return err
+    yield "", plucker_point((2, 2)), P(0, -3, "11/2", -3, "1/2")
     for m in (2, 3, 4, 5):
         falling = DPoly((1,))
         for i in range(m):
             falling = falling * (D - i)
-        err = expect(plucker_point((m,)), falling)
-        if err:
-            return f"m={m}: {err}"
-    return None
+        yield f"m={m}", plucker_point((m,)), falling
 
 
 def check_degree_tables():
-    err = expect(list(degree_table((10, 2, 2))),
-                 [(11, 14), (9, 14), (7, 14), (5, 13), (3, 12), (1, 11)])
-    if err:
-        return err
-    return expect(list(degree_table((2, 2))), [(2, 4), (0, 4)])
+    yield "", list(degree_table((10, 2, 2))), [(11, 14), (9, 14), (7, 14), (5, 13),
+                                               (3, 12), (1, 11)]
+    yield "", list(degree_table((2, 2))), [(2, 4), (0, 4)]
 
 
 def check_asymptotics():
@@ -218,45 +196,30 @@ def check_asymptotics():
         (4,): [(3, Fraction(1)), (1, Fraction(0))],
     }
     for lam, rows in wanted.items():
-        got = [(i, c) for i, c in asymptotic_plucker(lam)]
-        if got != rows:
-            return f"{lam}: got {got}"
-    return None
+        yield str(lam), [(i, c) for i, c in asymptotic_plucker(lam)], rows
 
 
 def check_mflex():
-    err = expect(mflex_polynomial(4, 1), P(0, 12, -22, 6))
-    if err:
-        return err
-    return expect(mflex_polynomial(3, 1), plucker_table((3,)).polynomial(0))
+    yield "", mflex_polynomial(4, 1), P(0, 12, -22, 6)
+    yield "", mflex_polynomial(3, 1), plucker_table((3,)).polynomial(0)
 
 
 def check_hyperflex():
     for n, wanted in HYPERFLEX_GOLDEN.items():
-        got = hyperflex_count(n)
-        if got != wanted:
-            return f"n={n}: got {got}"
-    return None
+        yield f"n={n}", hyperflex_count(n), wanted
 
 
 def check_lines():
-    err = expect(lines_on_hypersurface(3), 27)
-    if err:
-        return err
-    err = expect(lines_on_hypersurface(4), 2875)
-    if err:
-        return err
+    yield "", lines_on_hypersurface(3), 27
+    yield "", lines_on_hypersurface(4), 2875
     for n in (3, 4, 5, 6):
-        if lines_on_hypersurface(n) != (2 * n - 3) * hyperflex_count(n):
-            return f"line/hyperflex ratio fails at n={n}"
-    return None
+        yield (f"line/hyperflex ratio at n={n}", lines_on_hypersurface(n),
+               (2 * n - 3) * hyperflex_count(n))
 
 
 def check_euler_identity():
     for d0 in (2, 3, 4, 5):
-        if not euler_identity_check(d0):
-            return f"fails at d={d0}"
-    return None
+        yield f"d={d0}", euler_identity_check(d0), True
 
 
 def check_p_push_products():
@@ -267,33 +230,22 @@ def check_p_push_products():
         prod = MultiPoly.scalar(Fraction(1))
         for i in range(m):
             prod = prod * (zeta * D - zeta * i + eta * i)
-        got = p_push(FlagClass(prod)).expansion
-        if got != target:
-            return f"m={m}: got {got}"
-    return None
+        yield f"m={m}", p_push(FlagClass(prod)).expansion, target
 
 
 def check_q_push_rules():
     eta = MultiPoly.variable("eta")
-    got = q_push(FlagClass(eta ** 2, 4))
-    err = expect_str(got.poly, "1")
-    if err:
-        return f"eta^2: {err}"
-    got = q_push(FlagClass(eta ** 3, 4))
-    return expect_str(got.poly, "-zeta")
+    yield "eta^2", str(q_push(FlagClass(eta ** 2, 4)).poly), "1"
+    yield "", str(q_push(FlagClass(eta ** 3, 4)).poly), "-zeta"
 
 
 def check_incidence_two_two():
     inc = incidence_class((2, 2), 2)
-    err = expect_str(
-        inc.poly,
+    yield "", str(inc.poly), (
         "(d^4 - 6*d^3 + 11*d^2 - 6*d)*zeta^3"
         " + (d^4 - d^3 - 10*d^2 + 12*d)*zeta^2*eta"
         " + (d^3 - d^2 - 6*d)*zeta*eta^2")
-    if err:
-        return err
-    return expect_str(
-        inc.in_zeta_sigma(),
+    yield "", str(inc.in_zeta_sigma()), (
         "(-4*d^3 + 20*d^2 - 24*d)*zeta^3"
         " + (d^4 - 3*d^3 - 8*d^2 + 24*d)*zeta^2*sigma1"
         " + (d^3 - d^2 - 6*d)*zeta*sigma1^2")
@@ -301,8 +253,7 @@ def check_incidence_two_two():
 
 def check_incidence_three_two():
     inc = incidence_class((3, 2), 2)
-    return expect_str(
-        inc.poly,
+    yield "", str(inc.poly), (
         "(d^5 - 10*d^4 + 35*d^3 - 50*d^2 + 24*d)*zeta^4"
         " + (d^5 - 37*d^3 + 102*d^2 - 72*d)*zeta^3*eta"
         " + (d^5 - 3*d^4 + 5*d^3 - 54*d^2 + 72*d)*zeta^2*eta^2"
@@ -310,32 +261,23 @@ def check_incidence_three_two():
 
 
 def check_tangency_resolution():
-    err = expect(tangency_class_resolution((2,), 3).expansion, CRS_GOLDEN[(2,)])
-    if err:
-        return err
-    return expect(tangency_class_resolution((2, 2), 4).expansion,
-                  CRS_GOLDEN[(2, 2)])
+    yield "", tangency_class_resolution((2,), 3).expansion, CRS_GOLDEN[(2,)]
+    yield "", tangency_class_resolution((2, 2), 4).expansion, CRS_GOLDEN[(2, 2)]
 
 
 def check_flex_loci():
     got = flex_point_locus_class((3, 2), 3, 4)
-    err = expect_str(got.poly, "(3*d^4 - 7*d^3 - 44*d^2 + 96*d)*zeta^2")
-    if err:
-        return f"m=3: {err}"
+    yield "m=3", str(got.poly), "(3*d^4 - 7*d^3 - 44*d^2 + 96*d)*zeta^2"
     got = flex_point_locus_class((3, 2), 2, 4)
-    return expect_str(got.poly,
-                      "(d^5 - 4*d^4 + 8*d^3 - 56*d^2 + 96*d)*zeta^2")
+    yield "", str(got.poly), "(d^5 - 4*d^4 + 8*d^3 - 56*d^2 + 96*d)*zeta^2"
 
 
 def check_universal_classes():
-    err = expect_str(universal_class((3,)).poly,
-                     "(d^3 - 3*d^2 + 2*d)*a^2 + (d^3 - 4*d)*a*b"
-                     " + (3*d^2 - 6*d)*a*xi + (d^3 - 3*d^2 + 2*d)*b^2"
-                     " + (3*d^2 - 6*d)*b*xi + (3*d - 6)*xi^2")
-    if err:
-        return f"(3): {err}"
-    return expect_str(
-        universal_class((2, 2)).poly,
+    yield "(3)", str(universal_class((3,)).poly), (
+        "(d^3 - 3*d^2 + 2*d)*a^2 + (d^3 - 4*d)*a*b"
+        " + (3*d^2 - 6*d)*a*xi + (d^3 - 3*d^2 + 2*d)*b^2"
+        " + (3*d^2 - 6*d)*b*xi + (3*d - 6)*xi^2")
+    yield "", str(universal_class((2, 2)).poly), (
         "(1/2*d^4 - 3*d^3 + 11/2*d^2 - 3*d)*a^2"
         " + (d^4 - 4*d^3 + d^2 + 6*d)*a*b + (2*d^3 - 10*d^2 + 12*d)*a*xi"
         " + (1/2*d^4 - 3*d^3 + 11/2*d^2 - 3*d)*b^2"
@@ -343,52 +285,43 @@ def check_universal_classes():
 
 
 def check_hilbert_degrees():
-    err = expect(hilbert_degree((3,)), P(-6, 3))
-    if err:
-        return err
-    return expect(hilbert_degree((2,)), P(-2, 2))
+    yield "", hilbert_degree((3,)), P(-6, 3)
+    yield "", hilbert_degree((2,)), P(-2, 2)
 
 
 def check_pencil_slice():
     u = universal_incidence_class((2, 2), 2, 3)
-    return expect_str(
-        u.poly.coefficient("xi", 1),
+    yield "", str(u.poly.coefficient("xi", 1)), (
         "(4*d^3 - 19*d^2 + 23*d - 6)*zeta^2"
         " + (2*d^3 - 22*d + 12)*zeta*eta + (d^2 - d - 6)*eta^2")
 
 
 def check_pencil_final():
     got = pencil_locus_class((2, 2), 2, 3)
-    err = expect_str(got.poly, "(2*d^3 - d^2 - 21*d + 18)*zeta")
-    if err:
-        return err
-    return expect(got.coefficient(1), (D - 3) * P(-6, 5, 2))
+    yield "", str(got.poly), "(2*d^3 - d^2 - 21*d + 18)*zeta"
+    yield "", got.coefficient(1), (D - 3) * P(-6, 5, 2)
 
 
 def check_doc_empty_class():
     doc = docs.class_document(())
-    return expect(doc["entries"], [{"k": 0, "l": 0, "coeffs_d": ["1"]}])
+    yield "", doc["entries"], [{"k": 0, "l": 0, "coeffs_d": ["1"]}]
 
 
 def check_doc_class_two():
     doc = docs.class_document((2,))
-    return expect(doc["entries"], [{"k": 1, "l": 0, "coeffs_d": ["0", "-1", "1"]}])
+    yield "", doc["entries"], [{"k": 1, "l": 0, "coeffs_d": ["0", "-1", "1"]}]
 
 
 def check_doc_hyperflex():
-    err = expect(docs.hyperflex_document(4)["value"], "575")
-    if err:
-        return err
-    return expect(docs.hyperflex_document(9)["value"], "19275975908850375")
+    yield "", docs.hyperflex_document(4)["value"], "575"
+    yield "", docs.hyperflex_document(9)["value"], "19275975908850375"
 
 
 def check_doc_roundtrip():
     for doc in (docs.class_document((2, 2)), docs.plucker_document((3,)),
                 docs.flexlocus_document((3, 2), 2, 4),
                 docs.universal_document((2,))):
-        if json.loads(docs.emit_json(doc)) != doc:
-            return f"round trip fails for {doc['command']}"
-    return None
+        yield doc["command"], json.loads(docs.emit_json(doc)), doc
 
 
 CHECKS = [
@@ -434,11 +367,11 @@ CHECKS = [
 
 
 def run_all():
-    """Run every check; yields (name, ok, detail)."""
+    """Run every check; a list of (name, ok, detail)."""
     results = []
     for name, fn in CHECKS:
         try:
-            detail = fn()
+            detail = first_miss(fn())
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"
         results.append((name, detail is None, detail))

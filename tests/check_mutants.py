@@ -123,6 +123,9 @@ MUTANTS = [
     ("combinat.py", "(-1) ** (n - k)", "(-1) ** k",
      "every Riordan number of odd index flips sign: riordan(3) is -1",
      ["test_combinat.py::test_riordan"]),
+    ("golden.py", "if got != wanted:", "if False:",
+     "selftest passes whatever a check computes",
+     ["test_cli.py::test_selftest_failure_exits_1"]),
 ]
 
 

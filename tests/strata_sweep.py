@@ -8,7 +8,7 @@ import os
 import sys
 
 from rootstrata.errors import InvalidPartition
-from rootstrata.partitions import stratum_partitions, validate_stratum
+from rootstrata.partitions import MAX_WEIGHT, stratum_partitions, validate_stratum
 
 
 def strata(max_weight):
@@ -26,6 +26,8 @@ def _named(argv):
         try:
             weight = int(argv[0])
         except ValueError:  # more digits than int() converts
+            return None
+        if weight > MAX_WEIGHT:  # the package answers no stratum above it
             return None
         lams = strata(weight)
         return lams, f"{len(lams)} strata of weight <= {weight}"

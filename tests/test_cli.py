@@ -555,7 +555,7 @@ def test_selftest_failure_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "selftest")
     assert (code, err) == (1, "")
     lines = out.splitlines()
-    assert "FAIL    hyperflex-counts: n=5: got 99715" in lines
+    assert "FAIL    hyperflex-counts: n=5: got 99715, wanted 99716" in lines
     assert lines[-1] == "37/38 checks pass"
     assert sum(ln.startswith("ok      ") for ln in lines) == 37
     code, out, err = run(capsys, "selftest", "--json")

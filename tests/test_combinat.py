@@ -26,6 +26,13 @@ def test_kostka_trivial_cases():
     assert kostka((1, 1), (2,)) == 0
 
 
+def test_kostka_refuses_a_shape_without_two_rows():
+    for shape in ((3, 2, 1), ()):
+        with pytest.raises(ValueError) as info:
+            kostka(shape, (1,))
+        assert str(info.value) == f"need a two-row shape p >= q >= 0, got {shape}"
+
+
 def test_kostka_content_permutation_invariance():
     # Kostka numbers do not depend on the order of the content
     assert kostka((3, 2), (1, 2, 2)) == kostka((3, 2), (2, 2, 1))

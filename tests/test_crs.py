@@ -470,7 +470,8 @@ def test_route_check_passes_at_weight_6():
         0, "ok: 11 strata of weight <= 6\n", "")
 
 
-@pytest.mark.parametrize("argv", [[], ["x"], ["--class", "2,1"], ["\u00b2"], ["9" * 5000]])
+@pytest.mark.parametrize(
+    "argv", [[], ["x"], ["--class", "2,1"], ["\u00b2"], ["9" * 5000], ["101"]])
 @pytest.mark.parametrize(
     "script", ["check_routes.py", "check_theorems.py", "check_localization.py"])
 def test_check_scripts_print_the_usage_line_without_a_weight(script, argv):
