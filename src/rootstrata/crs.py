@@ -42,7 +42,7 @@ from itertools import accumulate, zip_longest
 from math import comb, prod
 from operator import index
 
-from .dpoly import D, _canonical, common_numerators, taylor_shift
+from .dpoly import D, _canonical, _Result, common_numerators, taylor_shift
 from .errors import DegreeTooSmall, PolynomialityViolation
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, substitute_homogeneous
@@ -54,12 +54,13 @@ _A = MultiPoly.variable("a")
 _B = MultiPoly.variable("b")
 
 
-class CRSClass:
+class CRSClass(_Result):
     """Schur expansion of one stratum class, coefficients polynomial in d."""
 
     # _peel_basis: the checked basis half of peeling onto this class, and its
     # denominator; _packed_level fills it on the first such peel
     __slots__ = ("partition", "expansion", "_peel_basis")
+    _FIELDS = ("partition", "expansion")
 
     def __init__(self, partition, expansion):
         for (k, l), c in expansion.coeffs.items():
@@ -90,16 +91,8 @@ class CRSClass:
         return self.expansion.map_coefficients(
             lambda c: c.leading() if c.degree == self.partition.weight else 0)
 
-    def __eq__(self, other):
-        if not isinstance(other, CRSClass):
-            return NotImplemented
-        return self.partition == other.partition and self.expansion == other.expansion
-
     def __str__(self):
         return f"[{self.partition}] = {self.expansion}"
-
-    def __repr__(self):
-        return f"CRSClass({self})"
 
 
 def _euler_factor(m, d=D):

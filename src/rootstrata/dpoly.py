@@ -342,6 +342,25 @@ def render(spelled):
                   for e in range(len(spelled) - 1, -1, -1) if spelled[e] != "0")
 
 
+class _Result:
+    """Equality and repr shared by the result classes.
+
+    Two results are equal when the other is an instance of the first's type
+    and they agree on every attribute its class lists in _FIELDS.  With
+    __eq__ and no __hash__, every result is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
 D = DPoly((0, 1))
 ZERO = DPoly()
 

@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb
 
 from .crs import _level_rows
-from .dpoly import ZERO, D
+from .dpoly import ZERO, D, _Result
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
@@ -26,10 +26,11 @@ from .schur import SchurExpansion, divided_difference, schur_expand
 _ZETA = MultiPoly.variable("zeta")
 
 
-class FlagClass:
+class FlagClass(_Result):
     """Polynomial in zeta, eta (optionally xi) with d-polynomial scalars."""
 
     __slots__ = ("poly", "ambient_n")
+    _FIELDS = ("poly", "ambient_n")
 
     def __init__(self, poly, ambient_n=None):
         extra = [v for v in poly.variables if v not in ("zeta", "eta", "xi")]
@@ -45,11 +46,6 @@ class FlagClass:
         sigma1 = MultiPoly.variable("sigma1")
         return self.poly.substitute({"eta": sigma1 - _ZETA})
 
-    def __eq__(self, other):
-        if not isinstance(other, FlagClass):
-            return NotImplemented
-        return self.poly == other.poly and self.ambient_n == other.ambient_n
-
     def __str__(self):
         return str(self.poly)
 
@@ -57,21 +53,17 @@ class FlagClass:
         return f"FlagClass({self.poly}, n={self.ambient_n})"
 
 
-class GrassClass:
+class GrassClass(_Result):
     """Schur class of the space of lines, truncated to the ambient dimension."""
 
     __slots__ = ("expansion", "ambient_n")
+    _FIELDS = ("expansion", "ambient_n")
 
     def __init__(self, expansion, ambient_n=None):
         if ambient_n is not None:
             expansion = expansion.truncate(ambient_n - 2)
         self.expansion = expansion
         self.ambient_n = ambient_n
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassClass):
-            return NotImplemented
-        return self.expansion == other.expansion and self.ambient_n == other.ambient_n
 
     def __str__(self):
         return str(self.expansion)
@@ -80,10 +72,11 @@ class GrassClass:
         return f"GrassClass({self.expansion}, n={self.ambient_n})"
 
 
-class ProjClass:
+class ProjClass(_Result):
     """Polynomial in the hyperplane class zeta modulo zeta^n."""
 
     __slots__ = ("poly", "ambient_n")
+    _FIELDS = ("poly", "ambient_n")
 
     def __init__(self, poly, ambient_n):
         if "eta" in poly.variables or "xi" in poly.variables:
@@ -98,11 +91,6 @@ class ProjClass:
     def coefficient(self, power):
         picked = self.poly.coefficient("zeta", power)
         return next(iter(picked.terms.values()), ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjClass):
-            return NotImplemented
-        return self.poly == other.poly and self.ambient_n == other.ambient_n
 
     def __str__(self):
         return str(self.poly)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import total_ordering
-from math import factorial
+from math import factorial, prod
 from operator import index
 
 from .errors import InvalidPartition
@@ -111,21 +112,15 @@ class Partition:
         return (self.weight, self.parts) < (other.weight, other.parts)
 
     def multiplicities(self):
-        """Map part value -> how often it occurs."""
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        """Map part value -> how often it occurs, largest part first."""
+        return Counter(self.parts)
 
     def multiplicity(self, v):
         return self.parts.count(v)
 
     def multiplicity_factorial(self):
         """Product of e! over the multiplicities e of the part values."""
-        out = 1
-        for e in self.multiplicities().values():
-            out *= factorial(e)
-        return out
+        return prod(map(factorial, self.multiplicities().values()))
 
     def reduction(self):
         """Partition of the parts each lowered by one, zeros dropped."""

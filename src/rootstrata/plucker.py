@@ -7,13 +7,13 @@ from math import comb
 
 from .combinat import kostka, stirling_first
 from .crs import crs_class, euler_pol
-from .dpoly import D, DPoly
+from .dpoly import D, DPoly, _Result
 from .errors import DegreeMismatch, OutOfRange, PolynomialityViolation
 from .partitions import MAX_WEIGHT, validate_stratum
 from .schur import schur_expand
 
 
-class PluckerTable:
+class PluckerTable(_Result):
     """Counting polynomials Pl_{lam;i} for one tangency pattern.
 
     The entry at i counts tangent lines of the pattern meeting a generic
@@ -22,6 +22,7 @@ class PluckerTable:
     """
 
     __slots__ = ("partition", "entries")
+    _FIELDS = ("partition", "entries")
 
     def __init__(self, partition, entries):
         self.partition = partition
@@ -38,11 +39,6 @@ class PluckerTable:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, PluckerTable):
-            return NotImplemented
-        return self.partition == other.partition and self.entries == other.entries
 
     def __str__(self):
         rows = [f"Pl_{{{self.partition},{i}}} = {p}" for i, p in self.entries]

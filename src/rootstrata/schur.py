@@ -6,7 +6,7 @@ from math import comb
 from operator import index
 from types import MappingProxyType
 
-from .dpoly import ZERO, as_dpoly, joined
+from .dpoly import ZERO, _Result, as_dpoly, joined
 from .errors import NotSymmetric
 from .multipoly import MultiPoly, _build, _widen, as_multipoly
 
@@ -33,10 +33,11 @@ def divided_difference(p, x="a", y="b"):
     return _build(merged, out)
 
 
-class SchurExpansion:
+class SchurExpansion(_Result):
     """Finite combination of the basis classes s_{k,l} with k >= l >= 0."""
 
     __slots__ = ("coeffs",)
+    _FIELDS = ("coeffs",)
 
     def __init__(self, coeffs=None):
         clean = {}
@@ -65,11 +66,6 @@ class SchurExpansion:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __mul__(self, scalar):
         return self.map_coefficients(lambda c: c * scalar)
 
@@ -93,9 +89,6 @@ class SchurExpansion:
     def __str__(self):
         return joined((c.spelled()[0] if c.degree <= 0 else f"({c})",
                        f"s_{{{k},{l}}}" if (k, l) != (0, 0) else "") for (k, l), c in self.items())
-
-    def __repr__(self):
-        return f"SchurExpansion({self})"
 
 
 def schur_expand(p, x="a", y="b"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate, islice
 
 from .crs import _level_rows, crs_class
-from .dpoly import D, DPoly
+from .dpoly import D, DPoly, _Result
 from .flagcalc import FlagClass, q_push
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import _build, substitute_homogeneous
@@ -46,10 +46,11 @@ def _shift_roots(rows, x, y):
                                  enumerate(_xi_slices(rows)) for i, c in enumerate(s)])
 
 
-class UniversalClass:
+class UniversalClass(_Result):
     """Stratum class with the moduli direction xi kept as a variable."""
 
     __slots__ = ("partition", "poly")
+    _FIELDS = ("partition", "poly")
 
     def __init__(self, partition, poly):
         extra = [v for v in poly.variables if v not in ("a", "b", "xi")]
@@ -61,11 +62,6 @@ class UniversalClass:
     def xi_slice(self, t):
         """Schur expansion of the xi^t coefficient."""
         return schur_expand(self.poly.coefficient("xi", t))
-
-    def __eq__(self, other):
-        if not isinstance(other, UniversalClass):
-            return NotImplemented
-        return self.partition == other.partition and self.poly == other.poly
 
     def __str__(self):
         return str(self.poly)

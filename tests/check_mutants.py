@@ -126,6 +126,18 @@ MUTANTS = [
     ("golden.py", "if got != wanted:", "if False:",
      "selftest passes whatever a check computes",
      ["test_cli.py::test_selftest_failure_exits_1"]),
+    ("crs.py", "if k + l != partition.codim:", "if False:",
+     "CRSClass takes a coefficient off the codimension diagonal",
+     ["test_results.py::test_refusals_name_what_they_refuse[crs-off-diagonal]"]),
+    ("crs.py", "if c.degree > partition.weight:", "if False:",
+     "CRSClass takes a coefficient of degree above the weight",
+     ["test_results.py::test_refusals_name_what_they_refuse[crs-above-the-weight]"]),
+    ("crs.py", "if top.degree != partition.weight:", "if False:",
+     "CRSClass takes a top coefficient of degree below the weight",
+     ["test_results.py::test_refusals_name_what_they_refuse[crs-top-below-the-weight]"]),
+    ("golden.py", 'detail = f"{type(exc).__name__}: {exc}"', "raise",
+     "a check that raises takes selftest down with exit 4",
+     ["test_cli.py::test_a_check_that_raises_fails_alone"]),
 ]
 
 

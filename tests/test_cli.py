@@ -564,6 +564,23 @@ def test_selftest_failure_exits_1(capsys, monkeypatch):
     assert [c["name"] for c in doc["checks"] if not c["ok"]] == ["hyperflex-counts"]
 
 
+def test_a_check_that_raises_fails_alone(capsys, monkeypatch):
+    def boom():
+        yield "", 1, 1
+        raise RuntimeError("boom")
+
+    name = golden.CHECKS[0][0]
+    monkeypatch.setattr(golden, "CHECKS", [(name, boom), *golden.CHECKS[1:]])
+    assert golden.run_all()[0] == (name, False, "RuntimeError: boom")
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert f"FAIL    {name}: RuntimeError: boom" in lines
+    assert lines[-1] == "37/38 checks pass"
+    code, out, err = run(capsys, "selftest", "--json")
+    assert (code, err, json.loads(out)["ok"]) == (1, "", False)
+
+
 _ints = st.one_of(st.integers(-3, 12), st.integers(-10**6, 10**6)).map(str)
 _tokens = st.one_of(
     st.integers(-2, 6).map(str),

@@ -24,9 +24,10 @@ from rootstrata.dpoly import (DPoly, _canonical, common_numerators, pseudo_divmo
 from rootstrata.errors import DegreeTooSmall, InvalidPartition, PolynomialityViolation
 from rootstrata.flagcalc import FlagClass, _resolution_peel, p_push
 from rootstrata.multipoly import MultiPoly
-from rootstrata.partitions import Partition
+from rootstrata.partitions import Partition, stratum_partitions
 from rootstrata.schur import SchurExpansion, divided_difference, schur_expand, schur_to_chern
 from rootstrata.universal import universal_class
+import strata_sweep
 from strata_sweep import strata
 from test_schur import strip_expand
 
@@ -479,6 +480,22 @@ def test_check_scripts_print_the_usage_line_without_a_weight(script, argv):
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"usage: {script} <max_weight> | --class <partition>\n")
+
+
+def test_check_scripts_stop_before_making_the_strata_they_do_not_check(capsys, monkeypatch):
+    made = []
+
+    def counted(weight):
+        for lam in stratum_partitions(weight):
+            made.append(lam)
+            yield lam
+
+    monkeypatch.setattr(strata_sweep, "stratum_partitions", counted)
+    assert strata_sweep.main(lambda lam: "stop", ["30"]) == 1
+    assert capsys.readouterr().out == "FAIL stop\n"
+    assert made == [Partition(())]
+    assert strata_sweep.main(lambda lam: None, ["6"]) == 0
+    assert capsys.readouterr().out == "ok: 11 strata of weight <= 6\n"
 
 
 def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch):

@@ -86,3 +86,48 @@ def test_the_package_exports_the_names_its_imports_bind():
              if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
     assert rootstrata.__all__ == sorted(bound)
     assert not any(isinstance(node, ast.List) for node in ast.walk(tree))
+
+
+def test_only_the_scalars_and_the_result_base_define_eq():
+    """The result classes share dpoly._Result's field-wise equality; DPoly, MultiPoly
+    and Partition keep their own, which also compare with scalars or tuples."""
+    allowed = {("dpoly.py", "DPoly"), ("dpoly.py", "_Result"),
+               ("multipoly.py", "MultiPoly"), ("partitions.py", "Partition")}
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef) or (path.name, node.name) in allowed:
+                continue
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "__eq__":
+                    problems.append(f"{path.name}:{f.lineno}: {node.name} defines __eq__")
+    assert not problems, "\n".join(problems)
+
+
+# perfbench's tracer patches every module's binding of substitute_homogeneous and
+# schur_expand (test_tracer_patches_every_binding pins these four), so these modules
+# keep a binding they never read until the tracer patches the defining module alone
+UNREAD_IMPORTS = {("crs.py", "substitute_homogeneous"), ("flagcalc.py", "substitute_homogeneous"),
+                  ("universal.py", "substitute_homogeneous"), ("golden.py", "schur_expand")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A top-level import binding no line of its module reads is dead; __init__.py
+    imports to export."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unread.add((path.name, name))
+    assert unread == UNREAD_IMPORTS
