@@ -42,12 +42,19 @@ def _at_value(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose choice refusals quote the text through _quoted.
+    """argparse whose choice and leftover-argument refusals quote the text through _quoted.
 
     argparse echoes a refused choice whole from _check_value, the one check
     it runs for --basis and for the command alike (subparsers are built from
     the parser's own class); this one keeps 3.10-3.12's words on every Python.
+    Arguments no parser takes reach parse_args as the top parser's leftovers.
     """
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_quoted(' '.join(extras))}")
+        return parsed
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:

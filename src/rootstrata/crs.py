@@ -144,22 +144,31 @@ def _packed_level(lam, m):
     """(lam, row, den, W): the level that peels m off lam, packed at d = 2^W.
 
     row[i] / den is the coefficient of a^i b^(N - i) in the twisted smaller
-    class times the Euler factor, before any pushforward.  Row i of the
-    smaller class, at a^i b^(n - i), sums c_{n-l,l} over l <= min(i, n - i).
-    The first peel onto a smaller class keeps its checked basis half on it,
-    so every later peel onto that class runs only the half that depends on m.
+    class times the Euler factor, before any pushforward.  The first peel
+    onto a smaller class keeps the checked basis half of its _class_rows on
+    it, so every later peel onto that class runs only the half that depends
+    on m.
     """
     lam = validate_stratum(lam)
     cls = crs_class(lam.remove_one(m))
     if cls._peel_basis is None:
-        n = cls.partition.codim
-        lists, den = common_numerators(
-            [cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
-        half = list(accumulate(lists, lambda acc, nums: [
-            x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
-        cls._peel_basis = _basis([half[min(i, n - i)] for i in range(n + 1)], m), den
+        rows, den = _class_rows(cls)
+        cls._peel_basis = _basis(rows, m), den
     row, bits = _twist(cls._peel_basis[0], m)
     return lam, row, cls._peel_basis[1], bits
+
+
+def _class_rows(cls):
+    """(rows, den): the class in its two roots, integer numerator lists over den.
+
+    Row i, at a^i b^(n - i) with n the codim, sums c_{n-l,l} over
+    l <= min(i, n - i), so rows i and n - i are one list.
+    """
+    n = cls.partition.codim
+    lists, den = common_numerators([cls.coefficient(n - l, l) for l in range(n // 2 + 1)])
+    half = list(accumulate(lists, lambda acc, nums: [
+        x + y for x, y in zip_longest(acc, nums, fillvalue=0)]))
+    return [half[min(i, n - i)] for i in range(n + 1)], den
 
 
 def _basis(rows, m):
@@ -227,13 +236,13 @@ def _schur_readout(row, den, bits):
 
 
 def _level_rows(lam, m):
-    """The rows of _packed_level(lam, m) as DPolys, each over the level's den.
+    """(rows, den): the rows of _packed_level(lam, m), integer numerator lists over den.
 
     Row i is the coefficient of a^i b^(N - i) before any pushforward; its
     d-coefficients stay below 2^(W-2), so its own digits are exact.
     """
     _, row, den, bits = _packed_level(lam, m)
-    return [_canonical(_digits(v, bits), den) for v in row]
+    return [_digits(v, bits) for v in row], den
 
 
 def crs_class_at(lam, d0):

@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb
 
 from .crs import _level_rows
-from .dpoly import ZERO, D, _Result
+from .dpoly import ZERO, D, _canonical, _Result
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import MultiPoly, _build, substitute_homogeneous
 from .partitions import validate_stratum
@@ -136,9 +136,9 @@ def incidence_class(lam, m):
     multiplies in.  That is crs's packed level on the flag roots: its row i
     is the coefficient of zeta^(N-i) eta^i.
     """
-    rows = _level_rows(lam, m)
-    top = len(rows) - 1
-    return FlagClass(_build(("zeta", "eta"), [((top - i, i), c) for i, c in enumerate(rows)]))
+    rows, den = _level_rows(lam, m)
+    return FlagClass(_build(("zeta", "eta"), [((len(rows) - 1 - i, i), _canonical(nums, den))
+                                              for i, nums in enumerate(rows)]))
 
 
 def tangency_class_resolution(lam, n, peel=None):

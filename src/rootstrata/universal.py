@@ -9,10 +9,11 @@ a stratum class, and the flag roots (zeta, eta) of crs's level rows.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import islice, zip_longest
 
-from .crs import _level_rows, crs_class
-from .dpoly import D, DPoly, _Result
+from .crs import _class_rows, _level_rows, crs_class
+from .dpoly import D, DPoly, _canonical, _Result
+from .errors import PolynomialityViolation
 from .flagcalc import FlagClass, q_push
 # substitute_homogeneous is unused here; tracers patch every module's binding of it.
 from .multipoly import _build, substitute_homogeneous
@@ -20,30 +21,35 @@ from .partitions import validate_stratum
 from .schur import schur_expand
 
 
-def _xi_slices(rows):
+def _xi_slices(rows, den):
     """The xi^t coefficients of a class with both roots sent to x + xi/d and y + xi/d.
 
-    rows[i] is the coefficient of x^(N - i) y^i in a class homogeneous of
-    degree N.  Slice t is (d/dx + d/dy) of slice t - 1, over t and then over
-    d: row i of a slice of degree n - 1 is (n - i) row_i + (i + 1) row_(i+1)
-    of the slice before it.  The division by the monic D is exact or raises
-    PolynomialityViolation.
+    rows[i] lists the integer numerators, over den, of the coefficient of
+    x^(N - i) y^i in a class homogeneous of degree N; each slice comes as
+    its rows of DPolys.  Slice t is (d/dx + d/dy) of slice t - 1, over t and
+    then over d: row i of a slice of degree n - 1 is (n - i) row_i +
+    (i + 1) row_(i+1) of the slice before it.  Over t is den times t; over d
+    drops every row's constant numerator, which must be zero or
+    PolynomialityViolation is raised.
     """
     t = 0
     while rows:
-        yield rows
-        t += 1
-        n = len(rows) - 1
-        rows = [((n - i) * rows[i] + (i + 1) * rows[i + 1]) / t / D for i in range(n)]
+        yield [_canonical(nums, den) for nums in rows]
+        n, t = len(rows) - 1, t + 1
+        rows = [[(n - i) * x + (i + 1) * y
+                 for x, y in zip_longest(rows[i], rows[i + 1], fillvalue=0)] for i in range(n)]
+        if any(nums and nums[0] for nums in rows):
+            raise PolynomialityViolation(f"inexact division by d in the xi^{t} slice")
+        rows, den = [nums[1:] for nums in rows], den * t
 
 
-def _shift_roots(rows, x, y):
-    """The class with rows[i] at x^(N - i) y^i, x and y sent to x + xi/d and y + xi/d.
+def _shift_roots(rows, den, x, y):
+    """The class with rows[i] / den at x^(N - i) y^i, x and y sent to x + xi/d and y + xi/d.
 
     x, y and xi must come in multipoly.VAR_ORDER, the order _build keeps.
     """
     return _build((x, y, "xi"), [((len(s) - 1 - i, i, t), c) for t, s in
-                                 enumerate(_xi_slices(rows)) for i, c in enumerate(s)])
+                                 enumerate(_xi_slices(rows, den)) for i, c in enumerate(s)])
 
 
 class UniversalClass(_Result):
@@ -73,13 +79,11 @@ class UniversalClass(_Result):
 def universal_class(lam):
     """Stratum class of the family twisted by the moduli hyperplane class.
 
-    Row i of the class, at a^(n - i) b^i with n its codim, sums c_{n-l,l}
-    over l <= min(i, n - i).
+    The xi shift of the class's rows; rows i and n - i are equal, so either
+    order of a and b places them.
     """
     lam = validate_stratum(lam)
-    cls, n = crs_class(lam), lam.codim
-    half = list(accumulate(cls.coefficient(n - l, l) for l in range(n // 2 + 1)))
-    return UniversalClass(lam, _shift_roots([half[min(i, n - i)] for i in range(n + 1)], "a", "b"))
+    return UniversalClass(lam, _shift_roots(*_class_rows(crs_class(lam)), "a", "b"))
 
 
 def hilbert_degree(lam):
@@ -95,7 +99,7 @@ def hilbert_degree(lam):
 
 def universal_incidence_class(lam, m, n):
     """Incidence class of (point, curve in a moving hypersurface) pairs."""
-    return FlagClass(_shift_roots(_level_rows(lam, m), "zeta", "eta"), n)
+    return FlagClass(_shift_roots(*_level_rows(lam, m), "zeta", "eta"), n)
 
 
 def pencil_locus_class(lam, m, n):
@@ -104,6 +108,6 @@ def pencil_locus_class(lam, m, n):
     Push forward the xi-linear slice of the universal incidence class
     along the point map.
     """
-    _, linear = islice(_xi_slices(_level_rows(lam, m)), 2)
+    _, linear = islice(_xi_slices(*_level_rows(lam, m)), 2)
     flag = _build(("zeta", "eta"), [((len(linear) - 1 - i, i), c) for i, c in enumerate(linear)])
     return q_push(FlagClass(flag, n))

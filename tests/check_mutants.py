@@ -32,11 +32,11 @@ TIER_1 = sorted(TESTS.glob("test_*.py"),
                 key=lambda path: (path.name != "test_source_rules.py", path.name))
 
 MUTANTS = [
-    ("flagcalc.py", "((top - i, i), c)", "((i, top - i), c)",
+    ("flagcalc.py", "((len(rows) - 1 - i, i), _canonical(nums, den))",
+     "((i, len(rows) - 1 - i), _canonical(nums, den))",
      "incidence_class((2,2), 2) swaps zeta and eta",
      ["test_flagcalc.py::test_incidence_class_golden"]),
-    ("crs.py", "_canonical(_digits(v, bits), den) for v in row]",
-     "_canonical(_digits(v, bits), 1) for v in row]",
+    ("crs.py", "[_digits(v, bits) for v in row], den", "[_digits(v, bits) for v in row], 1",
      "incidence_class((2,2,2), 2) loses the 1/2 of its smaller class",
      ["test_crs.py::test_level_rows_keep_the_denominator_of_the_smaller_class"]),
     ("crs.py", "_digits(row[l] - row[top - l], bits)", "_digits(row[l] - row[top - 1 - l], bits)",
@@ -67,7 +67,7 @@ MUTANTS = [
      'divided_difference(f.poly, "zeta", "eta")',
      "p_push(zeta) is minus the unit class; the resolution route flips sign",
      ["test_flagcalc.py::test_p_push_segre_anchors"]),
-    ("universal.py", "/ t / D for i in range(n)]", "/ D for i in range(n)]",
+    ("universal.py", "den * t", "den * 1",
      "every xi^t slice with t >= 2 of `universal 2,2`",
      ["test_universal.py::test_universal_golden_small"]),
     ("flagcalc.py", "Fraction(1, lam.multiplicity(m))", "Fraction(1, 1)",
@@ -105,7 +105,7 @@ MUTANTS = [
     ("__init__.py", " and not isinstance(value, _types.ModuleType)", "",
      "`rootstrata.__all__` lists the submodules, and `from rootstrata import *` binds them",
      ["test_source_rules.py::test_the_package_exports_the_names_its_imports_bind"]),
-    ("universal.py", "(n - i) * rows[i] + (i + 1) * rows[i + 1]", "(n - i) * rows[i]",
+    ("universal.py", "(n - i) * x + (i + 1) * y", "(n - i) * x",
      "xi shifts the root a alone: the xi^1 slice of `universal 2` halves to d - 1",
      ["test_universal.py::test_universal_golden_small"]),
     ("universal.py", "[((len(linear) - 1 - i, i), c)", "[((i, len(linear) - 1 - i), c)",
@@ -138,6 +138,9 @@ MUTANTS = [
     ("golden.py", 'detail = f"{type(exc).__name__}: {exc}"', "raise",
      "a check that raises takes selftest down with exit 4",
      ["test_cli.py::test_a_check_that_raises_fails_alone"]),
+    ("universal.py", "if any(nums and nums[0] for nums in rows):", "if False:",
+     "the xi shift drops a constant numerator that d does not divide",
+     ["test_universal.py::test_the_xi_shift_refuses_a_slice_d_does_not_divide"]),
 ]
 
 

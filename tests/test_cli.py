@@ -390,6 +390,24 @@ def test_long_user_text_is_quoted_by_a_short_prefix(capsys, monkeypatch, argv, c
 
 
 @pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("extras, quoted", [
+    (["x" * 3000], "'xxxxxxxxxx'..."),
+    (["x"] * 2000, "'x x x x x '..."),
+    (["--foo"], "'--foo'"),
+])
+def test_unrecognized_arguments_are_quoted_by_a_short_prefix(capsys, monkeypatch, extras,
+                                                             quoted, as_json):
+    """The top usage and one error line, quoting the leftover arguments as one text."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    code, out, err = run(capsys, "class", "2", *extras, *(["--json"] * as_json))
+    assert (code, out) == (2, "")
+    usage, _, error = err.rpartition("rootstrata: error: ")
+    assert usage.startswith("usage: rootstrata ") and "error" not in usage
+    assert error == f"unrecognized arguments: {quoted}\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("argv, argument", [
     (["hyperflex", "--n", "9" * 5000], "--n"),
     (["flex", "x" * 3000], "m"),

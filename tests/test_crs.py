@@ -49,7 +49,8 @@ def test_level_rows_keep_the_denominator_of_the_smaller_class():
     class (2, 2) carries a 1/2: each row is the list kernel's, over that den."""
     row, den = list_roots_row(crs_class((2, 2)), 2)
     assert den == 2
-    assert _level_rows((2, 2, 2), 2) == [
+    rows, level_den = _level_rows((2, 2, 2), 2)
+    assert [_canonical(nums, level_den) for nums in rows] == [
         _canonical(nums, den) for nums in list_euler_row(list_twist_row(row, 2), 2)]
 
 

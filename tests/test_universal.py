@@ -7,14 +7,13 @@ import pytest
 
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import D, DPoly
-from rootstrata.errors import InvalidPartition
+from rootstrata.errors import InvalidPartition, PolynomialityViolation
 from rootstrata.flagcalc import FlagClass, incidence_class, q_push
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 from rootstrata.partitions import Partition
 from rootstrata.schur import schur_expand
-from rootstrata.universal import (hilbert_degree, pencil_locus_class,
-                                  universal_class,
-                                  universal_incidence_class)
+from rootstrata.universal import (_xi_slices, hilbert_degree, pencil_locus_class,
+                                  universal_class, universal_incidence_class)
 from strata_sweep import strata
 
 
@@ -69,6 +68,32 @@ def test_universal_class_matches_the_substitution():
     for lam in strata(12):
         wanted = _shift_by_substitution(crs_class(lam).to_roots(), "a", "b")
         assert universal_class(lam).poly == wanted, lam
+
+
+def test_the_xi_shift_runs_no_dpoly_arithmetic(monkeypatch):
+    """With the classes and levels computed once, the shift gives the same
+    classes on integer rows alone: every DPoly operation raises."""
+    cases = [(lam, m) for lam in strata(8) for m in sorted(set(lam.parts))]
+
+    def classes():
+        return ([universal_class(lam) for lam in strata(8)],
+                [universal_incidence_class(lam, m, lam.codim + 2) for lam, m in cases])
+
+    def used(*args, **kwargs):
+        raise AssertionError("DPoly arithmetic")
+
+    want = classes()
+    for name in ("__add__", "__mul__", "__sub__", "__truediv__", "divmod"):
+        monkeypatch.setattr(DPoly, name, used)
+    got = classes()
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_the_xi_shift_refuses_a_slice_d_does_not_divide():
+    """The class x over one: its xi^1 slice is the constant 1, which d does not divide."""
+    with pytest.raises(PolynomialityViolation):
+        list(_xi_slices([[1], []], 1))
 
 
 def test_hilbert_degree_is_the_class_at_one_over_d_to_the_codim():
