@@ -1,4 +1,4 @@
-"""Mutant corpus: every known way to break the kernels and routes fails tier-1.
+"""Mutant corpus: every known way to break the kernels and routes fails its named killer.
 
 Usage: python tests/check_mutants.py
 
@@ -6,14 +6,14 @@ Each entry is (file under src/rootstrata, old text, new text, why,
 killers), where why names an output the edit changes and killers are the
 tier-1 node ids, relative to tests/, expected to kill it.  For each entry
 src/ is copied to a temporary directory, the old text, which must occur
-exactly once, is replaced by the new text, and pytest runs against the
-copy with -x, a fixed hypothesis seed and no cache: the killer nodes
-first, then, only if they all pass, the whole of tier-1, the source rules
-first.  A mutant the tests let pass, an entry whose old text no longer
-occurs exactly once, or a killer node that names no test of its file
-prints one FAIL line and the exit code is 1; otherwise the script prints
-how many mutants were killed.  Stdlib only; the file is named so that
-pytest does not collect it.
+exactly once, is replaced by the new text, and pytest runs the killer
+nodes, and nothing else, against the copy with -x, a fixed hypothesis
+seed and no cache.  A mutant counts as killed only when one of its named
+killers fails.  Killer nodes that all pass or exit with anything but a
+failed test, an old text that no longer occurs exactly once, and a killer
+node that names no test of its file each print one FAIL line and make the
+exit code 1; otherwise the script prints how many mutants were killed.
+Stdlib only; the file is named so that pytest does not collect it.
 """
 
 import ast
@@ -27,9 +27,6 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 SEED = 0
-# tier-1, the source rules first: they only read the code, so a mutant they kill stops at once
-TIER_1 = sorted(TESTS.glob("test_*.py"),
-                key=lambda path: (path.name != "test_source_rules.py", path.name))
 
 MUTANTS = [
     ("flagcalc.py", "((len(rows) - 1 - i, i), _canonical(nums, den))",
@@ -141,6 +138,15 @@ MUTANTS = [
     ("universal.py", "if any(nums and nums[0] for nums in rows):", "if False:",
      "the xi shift drops a constant numerator that d does not divide",
      ["test_universal.py::test_the_xi_shift_refuses_a_slice_d_does_not_divide"]),
+    ("dpoly.py", "if n < 0:", "if False:",
+     "`D ** -1` answers 1 instead of refusing a negative power",
+     ["test_results.py::test_refusals_name_what_they_refuse[dpoly-negative-power]"]),
+    ("multipoly.py", "if n < 0:", "if False:",
+     "`a ** -1` answers 1 instead of refusing a negative power",
+     ["test_results.py::test_refusals_name_what_they_refuse[multipoly-negative-power]"]),
+    ("multipoly.py", "if extra:", "if False:",
+     "two_var_terms silently drops a third variable",
+     ["test_results.py::test_refusals_name_what_they_refuse[two-var-terms-extra-variable]"]),
 ]
 
 
@@ -165,7 +171,7 @@ def _pytest(tmp, src, tests):
 
 
 def failure(file, old, new, why, killers):
-    """The FAIL line for one mutant, or None when tier-1 kills it."""
+    """The FAIL line for one mutant, or None when one of its killer nodes fails."""
     text = (SRC / "rootstrata" / file).read_text()
     count = text.count(old)
     if count != 1:
@@ -177,13 +183,11 @@ def failure(file, old, new, why, killers):
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / "rootstrata" / file).write_text(text.replace(old, new))
-        ran, code = "its killer nodes", _pytest(tmp, src, [str(TESTS / node) for node in killers])
-        if code == 0:
-            ran, code = "tier-1", _pytest(tmp, src, map(str, TIER_1))
+        code = _pytest(tmp, src, [str(TESTS / node) for node in killers])
     if code == 0:
-        return f"{file} ({why}): survived tier-1"
+        return f"{file} ({why}): its killer nodes pass"
     if code != 1:
-        return f"{file} ({why}): {ran} exited {code}, not with a failed test"
+        return f"{file} ({why}): its killer nodes exited {code}, not with a failed test"
     return None
 
 

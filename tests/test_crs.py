@@ -1,5 +1,6 @@
 """Stratum classes: recursion, twists, peel order, and specializations."""
 
+import ast
 import hashlib
 import importlib.util
 import subprocess
@@ -539,6 +540,15 @@ def test_route_check_reports_a_disagreeing_route_in_one_line(capsys, monkeypatch
         f"FAIL (2): localization at d=2, a=2 gives {want * 2}, symbolic {want}\n")
 
 
+def _decorator_names(node):
+    """The last dotted name of each decorator on the test function a node id names."""
+    file, _, name = node.partition("::")
+    tree = ast.parse(CHECK_ROUTES.with_name(file).read_text())
+    test = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == name.partition("[")[0])
+    return {ast.unparse(getattr(d, "func", d)).rpartition(".")[2] for d in test.decorator_list}
+
+
 def test_mutant_check_reports_a_stale_entry_without_running_pytest(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "check_mutants", CHECK_ROUTES.with_name("check_mutants.py"))
@@ -552,6 +562,8 @@ def test_mutant_check_reports_a_stale_entry_without_running_pytest(capsys, monke
     for file, old, _, why, killers in script.MUTANTS:
         assert (script.SRC / "rootstrata" / file).read_text().count(old) == 1, why
         assert killers and not any(map(script.missing, killers)), why
+        # one run decides the verdict, so no killer may draw its examples
+        assert not any("given" in _decorator_names(node) for node in killers), why
     killer = "test_crs.py::test_packed_level_matches_the_list_kernel"
     stale = ("crs.py", "v = (v << bits) - m * v + y", "v = 0", "every class", [killer])
     assert script.main([stale]) == 1
@@ -562,3 +574,26 @@ def test_mutant_check_reports_a_stale_entry_without_running_pytest(capsys, monke
     assert script.main([gone]) == 1
     assert capsys.readouterr().out == (
         "FAIL crs.py (every class): killer node test_crs.py::test_gone names no test\n")
+
+
+@pytest.mark.parametrize("code,verdict", [(0, "its killer nodes pass"), (1, None),
+                                          (4, "its killer nodes exited 4, not with a failed test")])
+def test_mutant_check_decides_on_one_run_of_the_killer_nodes(code, verdict, capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "check_mutants", CHECK_ROUTES.with_name("check_mutants.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = []
+
+    def fake_pytest(tmp, src, tests):
+        runs.append(list(tests))
+        return code
+
+    monkeypatch.setattr(script, "_pytest", fake_pytest)
+    entry = script.MUTANTS[0]
+    file, _, _, why, killers = entry
+    line = verdict and f"{file} ({why}): {verdict}"
+    assert script.failure(*entry) == line
+    assert runs == [[str(script.TESTS / node) for node in killers]]
+    assert script.main([entry]) == (1 if line else 0)
+    assert capsys.readouterr().out == (f"FAIL {line}\n" if line else "ok: 1 mutants killed\n")

@@ -1,16 +1,19 @@
 """The result classes' shared equality, and refusals that no other test reaches."""
 
+from fractions import Fraction
+
 import pytest
 
-from rootstrata import plucker
+from rootstrata import docs, plucker
 from rootstrata.combinat import kostka
 from rootstrata.crs import CRSClass
 from rootstrata.dpoly import D
-from rootstrata.errors import DegreeMismatch
+from rootstrata.errors import DegreeMismatch, OutOfRange, PolynomialityViolation
 from rootstrata.flagcalc import FlagClass, GrassClass, ProjClass
 from rootstrata.multipoly import MultiPoly, substitute_homogeneous
 from rootstrata.partitions import Partition
-from rootstrata.plucker import PluckerTable, degree_table
+from rootstrata.plucker import (PluckerTable, degree_table, lines_on_hypersurface,
+                                mflex_polynomial)
 from rootstrata.schur import SchurExpansion
 from rootstrata.universal import UniversalClass
 
@@ -86,6 +89,14 @@ def _degree_table_of_a_wrong_table():
         degree_table((2,))
 
 
+def _lines_on_a_cubic_of_half_a_line():
+    """lines_on_hypersurface(3) on an expansion whose balanced coefficient is 1/2."""
+    half = SchurExpansion({(2, 2): Fraction(1, 2)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plucker, "schur_expand", lambda form: half)
+        lines_on_hypersurface(3)
+
+
 REFUSALS = [
     ("crs-off-diagonal",
      lambda: CRSClass(Partition((2,)), SchurExpansion({(2, 0): D ** 2})),
@@ -120,6 +131,27 @@ REFUSALS = [
      ValueError, "negative content"),
     ("degree-table-mismatch", _degree_table_of_a_wrong_table,
      DegreeMismatch, "Pl_{(2),1} has degree 1, predicted 2"),
+    ("class-document-basis", lambda: docs.class_document((2,), basis="foo"),
+     ValueError, "unknown basis 'foo'"),
+    ("incidence-document-basis", lambda: docs.incidence_document((2, 2), 2, basis="foo"),
+     ValueError, "unknown basis 'foo'"),
+    ("text-form-command", lambda: docs.emit_text({"command": "foo", "d": "symbolic"}),
+     ValueError, "no text form for foo"),
+    ("dpoly-negative-power", lambda: D ** -1,
+     ValueError, "negative power of a polynomial"),
+    ("multipoly-negative-power", lambda: _A ** -1,
+     ValueError, "negative power of a polynomial"),
+    ("multipoly-unknown-variable", lambda: _A.substitute({"q": 1}),
+     ValueError, "unknown variable 'q'"),
+    ("two-var-terms-extra-variable", lambda: (_A * _ZETA).two_var_terms("a", "b"),
+     ValueError, "unexpected variables ['zeta'] (wanted only a, b)"),
+    ("plucker-table-missing-entry",
+     lambda: PluckerTable(Partition((3,)), [(2, D)]).polynomial(1),
+     KeyError, "'no entry at i = 1 for (3)'"),
+    ("mflex-below-2i-plus-1", lambda: mflex_polynomial(4, 2),
+     OutOfRange, "need m >= 2i+1, got m=4, i=2"),
+    ("line-count-not-an-integer", _lines_on_a_cubic_of_half_a_line,
+     PolynomialityViolation, "line count 1/2 is not an integer"),
 ]
 
 
