@@ -1,8 +1,11 @@
 """Output documents: deterministic dict payloads plus text and JSON emitters.
 
-Every number serializes as a decimal string so arbitrarily large counts
-survive consumers with 53-bit integers; polynomial coefficient arrays
-are ascending in d starting at the constant term.
+Every computed number (each value and each coeffs_d entry) serializes as
+a decimal string, so arbitrarily large counts survive consumers with
+53-bit integers.  Indices, exponents, codim and the echoed inputs
+(partition, d, m, n) stay JSON integers, and an echoed input may pass
+2^53.  Polynomial coefficient arrays are ascending in d starting at the
+constant term.
 """
 
 from __future__ import annotations

@@ -52,23 +52,22 @@ def _build(variables, pairs):
     return p
 
 
-def _widen(p, names):
-    """Spread the exponents of p over its variables joined with names.
+def _spread(p, names):
+    """The terms of p as (exponent tuple, coefficient) pairs over names.
 
-    Returns the merged variable tuple, in VAR_ORDER, and the terms of p as
-    (exponent tuple, coefficient) pairs over it.
+    names may come in any order and must hold every variable of p; a name
+    p lacks gets exponent 0.
     """
-    merged = _ordered(p.variables + tuple(names))
-    if merged == p.variables:
-        return merged, p.terms.items()
-    pos = [merged.index(v) for v in p.variables]
-    terms = []
+    if names == p.variables:
+        return p.terms.items()
+    at = [names.index(v) for v in p.variables]
+    out = []
     for e, c in p.terms.items():
-        big = [0] * len(merged)
-        for i, v in zip(pos, e):
-            big[i] = v
-        terms.append((tuple(big), c))
-    return merged, terms
+        big = [0] * len(names)
+        for i, n in zip(at, e):
+            big[i] = n
+        out.append((tuple(big), c))
+    return out
 
 
 class MultiPoly:
@@ -117,9 +116,8 @@ class MultiPoly:
             other = MultiPoly.scalar(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        merged, left = _widen(self, other.variables)
-        _, right = _widen(other, merged)
-        return _build(merged, [*left, *right])
+        merged = _ordered(self.variables + other.variables)
+        return _build(merged, [*_spread(self, merged), *_spread(other, merged)])
 
     __radd__ = __add__
 
@@ -139,10 +137,10 @@ class MultiPoly:
             return _build(self.variables, [(e, c * other) for e, c in self.terms.items()])
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        merged, left = _widen(self, other.variables)
-        _, right = _widen(other, merged)
+        merged = _ordered(self.variables + other.variables)
+        right = _spread(other, merged)
         return _build(merged, ((tuple(map(add, e1, e2)), c1 * c2)
-                               for e1, c1 in left for e2, c2 in right))
+                               for e1, c1 in _spread(self, merged) for e2, c2 in right))
 
     __rmul__ = __mul__
 
@@ -177,30 +175,23 @@ class MultiPoly:
 
     def swap_vars(self, x, y):
         """Exchange the roles of two variables."""
-        if x not in self.variables and y not in self.variables:
-            return self
-        merged, terms = _widen(self, (x, y))
-        ix, iy = merged.index(x), merged.index(y)
-        out = []
-        for e, c in terms:
-            big = list(e)
-            big[ix], big[iy] = big[iy], big[ix]
-            out.append((tuple(big), c))
-        return _build(merged, out)
+        merged = _ordered(self.variables + (x, y))
+        return _build(merged, _spread(self, tuple({x: y, y: x}.get(v, v) for v in merged)))
 
     def is_symmetric(self, x="a", y="b"):
         return self == self.swap_vars(x, y)
 
     def substitute(self, bindings):
-        """Replace variables by polynomials or scalars; unbound ones pass through."""
-        values = {}
+        """Replace variables by polynomials or scalars; unbound ones pass through.
+
+        Every variable starts bound to itself, and bindings override that.
+        """
+        values = {v: MultiPoly.variable(v) for v in self.variables}
         for name, val in bindings.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
             values[name] = as_multipoly(val)
-        kept = tuple(v for v in self.variables if v not in values)
-        merged = _ordered(kept + tuple(v for val in values.values() for v in val.variables))
-        at = [merged.index(v) if v in kept else None for v in self.variables]
+        merged = _ordered([v for val in values.values() for v in val.variables])
         powers = {name: [val] for name, val in values.items()}
 
         def power_of(name, n):
@@ -212,21 +203,8 @@ class MultiPoly:
         def pairs():
             # Streamed: a product of powers holds far more pairs than the sum.
             for e, c in self.terms.items():
-                mono = [0] * len(merged)
-                piece = None
-                for name, i, exp in zip(self.variables, at, e):
-                    if not exp:
-                        continue
-                    if i is not None:
-                        mono[i] = exp
-                    else:
-                        pw = power_of(name, exp)
-                        piece = pw if piece is None else piece * pw
-                if piece is None:
-                    yield tuple(mono), c
-                    continue
-                for pe, pc in _widen(piece, merged)[1]:
-                    yield tuple(map(add, mono, pe)), pc * c
+                yield from _spread(prod((power_of(v, n) for v, n in zip(self.variables, e) if n),
+                                        start=MultiPoly.scalar(c)), merged)
 
         return _build(merged, pairs())
 
@@ -240,14 +218,7 @@ class MultiPoly:
         extra = [v for v in self.variables if v not in (x, y)]
         if extra:
             raise ValueError(f"unexpected variables {extra} (wanted only {x}, {y})")
-        ix = self.variables.index(x) if x in self.variables else None
-        iy = self.variables.index(y) if y in self.variables else None
-        out = {}
-        for e, c in self.terms.items():
-            i = e[ix] if ix is not None else 0
-            j = e[iy] if iy is not None else 0
-            out[(i, j)] = c
-        return out
+        return dict(_spread(self, (x, y)))
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 from .dpoly import ZERO, _Result, as_dpoly, joined
 from .errors import NotSymmetric
-from .multipoly import MultiPoly, _build, _widen, as_multipoly
+from .multipoly import MultiPoly, _build, _ordered, _spread, as_multipoly
 
 
 def divided_difference(p, x="a", y="b"):
@@ -17,10 +17,11 @@ def divided_difference(p, x="a", y="b"):
     Extra variables ride along untouched, so the same operator serves the
     root pair (a, b) and the flag pair (eta, zeta).
     """
-    merged, terms = _widen(as_multipoly(p), (x, y))
+    p = as_multipoly(p)
+    merged = _ordered(p.variables + (x, y))
     ix, iy = merged.index(x), merged.index(y)
     out = []
-    for e, c in terms:
+    for e, c in _spread(p, merged):
         i, j = e[ix], e[iy]
         if i == j:
             continue

@@ -147,6 +147,16 @@ MUTANTS = [
     ("multipoly.py", "if extra:", "if False:",
      "two_var_terms silently drops a third variable",
      ["test_results.py::test_refusals_name_what_they_refuse[two-var-terms-extra-variable]"]),
+    ("multipoly.py", "{x: y, y: x}.get(v, v)", "{x: x, y: y}.get(v, v)",
+     "`(a^2 - b^2).swap_vars('a', 'b')` returns a^2 - b^2 unchanged",
+     ["test_multipoly.py::test_substitute_and_swap"]),
+    ("multipoly.py", "zip(self.variables, e) if n)", "zip(self.variables, e))",
+     "a zero exponent in substitute multiplies in the last cached power: a^2 -> b^2 * a",
+     ["test_multipoly.py::test_substitute_and_swap"]),
+    ("multipoly.py", "at = [names.index(v) for v in p.variables]",
+     "at = [p.variables.index(v) for v in p.variables]",
+     "`b * a` lands b on a's place: a^2 instead of a*b",
+     ["test_multipoly.py::test_variables_sorted_and_pruned"]),
 ]
 
 

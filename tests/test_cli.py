@@ -19,7 +19,7 @@ from rootstrata.cli import build_parser, main
 from rootstrata.crs import crs_class
 from rootstrata.dpoly import DPoly
 from rootstrata.errors import InvalidPartition
-from rootstrata.multipoly import MultiPoly
+from rootstrata.multipoly import VAR_ORDER, MultiPoly
 from rootstrata.partitions import Partition, stratum_partitions
 from rootstrata.plucker import plucker_table
 
@@ -270,6 +270,47 @@ def test_text_values_match_the_fraction_spelling():
                 assert docs._value_str(row) == want, (doc["command"], row)
                 rows += 1
     assert rows > 800
+
+
+# indices, exponents, codim and the echoed inputs; every computed value is a string
+INT_KEYS = {"partition", "codim", "d", "m", "n", "k", "l", "i", *VAR_ORDER}
+
+
+def _json_ints(node, key=None):
+    """(key, value) for every JSON integer under node, a list item under its list's key."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_ints(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _json_ints(v, key)
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield key, node
+
+
+def test_json_values_are_strings_and_integers_are_indices_or_inputs():
+    """A value past 2^53 survives any consumer; an echoed d may pass 2^53 as an integer."""
+    big = 2 ** 64 + 1
+    lam = Partition((3, 2))
+    at_docs = [docs.class_document(lam, basis, big) for basis in ("schur", "chern", "roots")]
+    at_docs += [docs.plucker_document(lam, big), docs.flex_document(5, big),
+                docs.incidence_document(lam, 2, "zeta-sigma", big),
+                docs.flexlocus_document(lam, 3, 4, big), docs.universal_document(lam, big),
+                docs.pencil_document(lam, 2, 4, big)]
+    keys, values = set(), 0
+    for doc in [*documents(6), *at_docs]:
+        parsed = json.loads(docs.emit_json(doc))
+        for row in parsed.get("entries", ()):
+            assert isinstance(row.get("value", ""), str), (doc["command"], row)
+            assert all(isinstance(c, str) for c in row.get("coeffs_d", ())), (doc["command"], row)
+            values += "value" in row
+        if "value" in parsed:
+            assert isinstance(parsed["value"], str), parsed
+        for key, _ in _json_ints(parsed):
+            assert key in INT_KEYS, (doc["command"], key)
+            keys.add(key)
+    assert all(doc["d"] == big for doc in at_docs)
+    assert values > 20 and keys == INT_KEYS
 
 
 def test_outputs_never_read_fraction_coefficients(monkeypatch):

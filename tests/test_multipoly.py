@@ -15,6 +15,8 @@ from rootstrata.schur import SchurExpansion, divided_difference
 A = MultiPoly.variable("a")
 B = MultiPoly.variable("b")
 XI = MultiPoly.variable("xi")
+ZETA = MultiPoly.variable("zeta")
+ETA = MultiPoly.variable("eta")
 
 coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=5)
 
@@ -57,6 +59,40 @@ def test_substitute_and_swap():
     assert p.swap_vars("a", "b") == -p
     assert (A + B).is_symmetric("a", "b")
     assert not (A - B).is_symmetric("a", "b")
+
+
+def test_swap_with_one_or_neither_variable_present():
+    assert (A ** 2 * XI + 3).swap_vars("a", "b") == B ** 2 * XI + 3
+    assert (B * XI).swap_vars("a", "b") == A * XI
+    assert (ETA ** 2 + ZETA).swap_vars("eta", "zeta") == ZETA ** 2 + ETA
+    assert (XI + 1).swap_vars("a", "b") == XI + 1
+    assert MultiPoly().swap_vars("zeta", "eta") == MultiPoly()
+    assert (ZETA ** 2 * ETA).is_symmetric("eta", "zeta") is False
+
+
+def test_ring_operators_refuse_what_is_neither_scalar_nor_polynomial():
+    for op in (lambda: A + "x", lambda: "x" + A, lambda: A * "x", lambda: A - "x"):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_two_var_terms_fills_an_absent_variable_with_zero():
+    assert (ZETA ** 2 * 3 + ZETA).two_var_terms("eta", "zeta") == {(0, 2): 3, (0, 1): 1}
+    assert (ZETA ** 2 * ETA).two_var_terms("eta", "zeta") == {(1, 2): 1}
+    assert (ZETA ** 2 * ETA).two_var_terms("zeta", "eta") == {(2, 1): 1}
+    assert MultiPoly.scalar(D).two_var_terms("eta", "zeta") == {(0, 0): D}
+    assert MultiPoly().two_var_terms("eta", "zeta") == {}
+
+
+def test_substitute_leaves_unbound_variables_inside_bound_values():
+    """xi stays unbound, appears in a's value, and alone in one term."""
+    got = (A ** 2 * XI + XI + 3).substitute({"a": A + XI})
+    # (a + xi)^2 xi + xi + 3
+    want = MultiPoly(("a", "xi"), {(2, 1): 1, (1, 2): 2, (0, 3): 1, (0, 1): 1, (0, 0): 3})
+    assert got == want
+    assert (A * B ** 2 * D).substitute({"a": B}) == MultiPoly(("b",), {(3,): D})
+    assert (XI ** 2 - 1).substitute({}) == XI ** 2 - 1
+    assert MultiPoly.scalar(D).substitute({"a": XI}) == MultiPoly.scalar(D)
 
 
 def test_evaluate_d():

@@ -104,11 +104,11 @@ def test_only_the_scalars_and_the_result_base_define_eq():
     assert not problems, "\n".join(problems)
 
 
-# perfbench's tracer patches every module's binding of substitute_homogeneous and
-# schur_expand (test_tracer_patches_every_binding pins these four), so these modules
-# keep a binding they never read until the tracer patches the defining module alone
+# perfbench's tracer patches every module's binding of substitute_homogeneous
+# (test_tracer_patches_every_binding pins them), so these three modules keep a
+# binding they never read until the tracer patches the defining module alone
 UNREAD_IMPORTS = {("crs.py", "substitute_homogeneous"), ("flagcalc.py", "substitute_homogeneous"),
-                  ("universal.py", "substitute_homogeneous"), ("golden.py", "schur_expand")}
+                  ("universal.py", "substitute_homogeneous")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
